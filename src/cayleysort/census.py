@@ -10,12 +10,13 @@ formulas, and non-closure witnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .core import (
     CayleyPerm,
@@ -31,14 +32,14 @@ from .core import (
     reverse,
 )
 from .pattern import MESH_Z, contains, contains_mesh, subpatterns
-from .stack import _run_word, tortoise_blocks
+from .stack import _POPSTACK_PATTERNS, _avoids_231, _creates_occurrence, _run_word
 
-_P231 = (2, 3, 1)
+# Not called here (the census walk counts blocks itself); kept because
+# perfbench/tracer.py wraps census.tortoise_blocks by name.
+from .stack import tortoise_blocks  # noqa: F401
+
 _P132 = (1, 3, 2)
 _P2341 = (2, 3, 4, 1)
-_P21 = ((2, 1),)
-_POP_HARE = ((2, 1),)
-_POP_TORTOISE = ((2, 1), (1, 1))
 
 #: Avoidance characterizations of the pop-stack-sortable sets.
 HARE_BASIS = ((2, 3, 1), (3, 1, 2), (2, 1, 2, 1))
@@ -79,10 +80,10 @@ def _canonical_machine(desc: tuple) -> str:
 
 
 def _word_sortable(desc: tuple, w: Word) -> bool:
+    """Does the machine sort w?  Runs it on the one word."""
     if desc[0] == "sigma":
-        return not contains(_run_word(w, (desc[1],), False), _P231)
-    patterns = _POP_HARE if desc[1] == "hare" else _POP_TORTOISE
-    return is_weakly_increasing(_run_word(w, patterns, True))
+        return _avoids_231(_run_word(w, (desc[1],), False))
+    return is_weakly_increasing(_run_word(w, _POPSTACK_PATTERNS[desc[1]], True))
 
 
 def sortable_predicate(machine: str) -> Callable[[CayleyPerm], bool]:
@@ -97,13 +98,19 @@ def sortable_predicate(machine: str) -> Callable[[CayleyPerm], bool]:
 
 @dataclass(frozen=True)
 class SequenceReport:
-    """Counting sequence of one census, with the universe sizes alongside."""
+    """Counting sequence of one census, with the universe sizes alongside.
+
+    Per length, `visited` counts the words the census walk reached and
+    `pruned` the words it counted in closed form; they sum to the universe.
+    """
 
     machine: str
     counts: dict[int, int]
     universe_sizes: dict[int, int]
     refined: dict[tuple[int, int], int] | None = None
     elapsed: float = 0.0
+    visited: dict[int, int] = field(default_factory=dict)
+    pruned: dict[int, int] = field(default_factory=dict)
 
     def count_list(self) -> list[int]:
         return [self.counts[n] for n in sorted(self.counts)]
@@ -119,6 +126,10 @@ class SequenceReport:
             lines.append(f"{'n':>4}  {'k':>4}  {'count':>10}")
             for n, k in sorted(self.refined):
                 lines.append(f"{n:>4}  {k:>4}  {self.refined[n, k]:>10}")
+        lines.append(
+            f"pruned: {sum(self.pruned.values())} of {sum(self.universe_sizes.values())}"
+            " words counted in closed form"
+        )
         lines.append(f"elapsed: {self.elapsed:.2f} s")
         return "\n".join(lines)
 
@@ -137,37 +148,132 @@ class SequenceReport:
         return "\n".join(f"{n} {self.counts[n]}" for n in sorted(self.counts))
 
 
+@functools.cache
+def _completions(left: int, top: int, missing: int) -> int:
+    """Number of ways to append `left` letters to a prefix whose maximum is
+    `top` with `missing` values below it unused, ending in a Cayley
+    permutation."""
+    if missing > left:
+        return 0
+    if left == 0:
+        return 1
+    total = (top - missing) * _completions(left - 1, top, missing)
+    if missing:
+        total += missing * _completions(left - 1, top, missing - 1)
+    for v in range(top + 1, top + 1 + left - missing):
+        total += _completions(left - 1, v, missing + v - top - 1)
+    return total
+
+
+def _walk(n: int, first: int, sigmas: tuple[Word, ...], flush_all: bool):
+    """Walk the prefix tree of the length-n Cayley permutations that start
+    with `first`, running the machine's first stack one letter per edge.
+
+    Letters are tried as `_iter_letters` tries them.  Each node also carries
+    the stack content and the state of the sortability test of the letters
+    popped so far: for a sigma-stack (single pops) the 231 state of
+    `_avoids_231`, for a pop-stack (`flush_all`) the last output letter.
+    Popped letters are final, so once they fail the test no completion is
+    sortable, and the subtree is counted by `_completions` unvisited.  At a
+    leaf the stack is flushed through the same test.
+
+    Returns (visited, pruned, by_blocks): the leaves reached, the words
+    counted in closed form, and the sortable words keyed by their number of
+    maximal strictly decreasing blocks (the tortoise refinement).
+    """
+    counts = [0] * (n + 2)
+    by_blocks: dict[int, int] = {}
+    visited = pruned = 0
+
+    def drain(st, v, low, above):
+        """Pop st into the output test as the machine does before pushing v,
+        or entirely when v is None (the input has run out).  Returns the
+        new test state, or None once the output fails."""
+        above = above[:]
+        while st:
+            y = st.pop()
+            if y < low:
+                return None
+            if flush_all:
+                low = y
+                continue
+            while above and above[-1] < y:
+                low = above.pop()
+            above.append(y)
+            if v is not None and not (st and _creates_occurrence(st, v, sigmas)):
+                break
+        return low, above
+
+    def descend(pos, top, missing, stack, low, above, prev, blocks):
+        nonlocal visited, pruned
+        left = n - pos - 1
+        if pos:
+            letters = range(1, min(n, top + 1 + left - missing) + 1)
+        else:
+            letters = (first,)
+        for v in letters:
+            if v > top:
+                v_top, v_missing = v, missing + v - top - 1
+            else:
+                v_top, v_missing = top, missing - (counts[v] == 0)
+            if v_missing > left:
+                continue
+            st = stack[:]
+            state = low, above
+            if st and _creates_occurrence(st, v, sigmas):
+                state = drain(st, v, low, above)
+                if state is None:
+                    pruned += _completions(left, v_top, v_missing)
+                    continue
+            st.append(v)
+            k = blocks + (prev <= v)
+            if left:
+                counts[v] += 1
+                descend(pos + 1, v_top, v_missing, st, *state, v, k)
+                counts[v] -= 1
+            else:
+                visited += 1
+                if drain(st, None, *state) is not None:
+                    by_blocks[k] = by_blocks.get(k, 0) + 1
+
+    if 1 <= first <= n:
+        descend(0, 0, 0, [], 0, [], 0, 0)
+    return visited, pruned, by_blocks
+
+
 def _shard_counts(args: tuple[str, int, int]) -> tuple[int, int, int, dict[int, int]]:
+    """Walk the length-n inputs that start with `first`: (n, visited,
+    pruned, sortable words by tortoise block count)."""
     machine, n, first = args
     desc = _parse_machine(machine)
-    refine = desc == ("popstack", "tortoise")
-    universe = count = 0
-    refined: dict[int, int] = {}
-    for w in _iter_letters(n, (first,)):
-        universe += 1
-        if _word_sortable(desc, w):
-            count += 1
-            if refine:
-                k = len(tortoise_blocks(_wrap(w)))
-                refined[k] = refined.get(k, 0) + 1
-    return n, universe, count, refined
+    if desc[0] == "sigma":
+        return n, *_walk(n, first, (desc[1],), False)
+    return n, *_walk(n, first, _POPSTACK_PATTERNS[desc[1]], True)
 
 
 def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport:
-    """Count sortable inputs per length 1..n_max by running the machine on
-    every Cayley permutation.
+    """Count sortable inputs per length 1..n_max.
 
-    Brute force by design — these censuses are the ground truth the
-    characterization checks compare against.  With threads > 1 the universe
-    is sharded by leading letter over a process pool; counts are summed, so
-    the report does not depend on the parallelism degree.
+    One walk of the prefix tree of Cayley permutations per length (see
+    `_walk`) runs the first stack once per tree edge and tests the popped
+    letters as they leave it: for sigma-machines that they avoid 231, for
+    pop-stacks that they are weakly increasing.  Popped letters are final,
+    so a prefix whose output already fails is never extended: its
+    completions join the universe in closed form and are recorded as
+    pruned.  The per-word predicate `_word_sortable` is the oracle the tests
+    compare the walk against.  With threads > 1 each length is sharded by
+    leading letter over a process pool; counts are summed, so the report
+    does not depend on the parallelism degree.
     """
     desc = _parse_machine(machine)
     _check_limit(n_max, census_limit(), "census")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     refine = desc == ("popstack", "tortoise")
     started = time.perf_counter()
     counts: dict[int, int] = {}
-    universe_sizes: dict[int, int] = {}
+    visited: dict[int, int] = {}
+    pruned: dict[int, int] = {}
     refined: dict[tuple[int, int], int] = {}
     jobs = [(machine, n, first) for n in range(1, n_max + 1) for first in range(1, n + 1)]
     if threads > 1:
@@ -175,17 +281,20 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
             results = list(pool.map(_shard_counts, jobs))
     else:
         results = [_shard_counts(job) for job in jobs]
-    for n, universe, count, shard_refined in results:
-        universe_sizes[n] = universe_sizes.get(n, 0) + universe
-        counts[n] = counts.get(n, 0) + count
-        for k, c in shard_refined.items():
+    for n, shard_visited, shard_pruned, by_blocks in results:
+        visited[n] = visited.get(n, 0) + shard_visited
+        pruned[n] = pruned.get(n, 0) + shard_pruned
+        counts[n] = counts.get(n, 0) + sum(by_blocks.values())
+        for k, c in by_blocks.items():
             refined[n, k] = refined.get((n, k), 0) + c
     return SequenceReport(
         machine=_canonical_machine(desc),
         counts=counts,
-        universe_sizes=universe_sizes,
+        universe_sizes={n: visited[n] + pruned[n] for n in visited},
         refined=refined if refine else None,
         elapsed=time.perf_counter() - started,
+        visited=visited,
+        pruned=pruned,
     )
 
 
@@ -194,11 +303,10 @@ def tortoise_refined(n: int) -> dict[int, int]:
     maximal strictly decreasing blocks; checked against C(n-1,k-1)*2^(k-1).
     """
     _check_limit(n, census_limit(), "census")
-    refined: dict[int, int] = {}
-    for w in _iter_letters(n):
-        if is_weakly_increasing(_run_word(w, _POP_TORTOISE, True)):
-            k = len(tortoise_blocks(_wrap(w)))
-            refined[k] = refined.get(k, 0) + 1
+    refined: dict[int, int] = {} if n else {0: 1}  # the empty word has no blocks
+    for first in range(1, n + 1):
+        for k, c in _shard_counts(("popstack tortoise", n, first))[3].items():
+            refined[k] = refined.get(k, 0) + c
     expected = {k: math.comb(n - 1, k - 1) * 2 ** (k - 1) for k in range(1, n + 1)}
     expected = {k: v for k, v in expected.items() if v}
     if n >= 1 and refined != expected:
@@ -218,9 +326,11 @@ class ClassVerdict:
 
     For a predicted class, `predicted_basis` is the reduced basis and
     `equality_holds` reports the exhaustive sweep (False until verify_class
-    has run).  For a predicted non-class, `witness` is a validated pair
-    (alpha, beta): beta sortable, alpha a pattern of beta, alpha not
-    sortable — which no containment-closed set allows.
+    has run), which covered the lengths up to `checked_to_length`.  For a
+    predicted non-class, `witness` is a validated pair (alpha, beta): beta
+    sortable, alpha a pattern of beta, alpha not sortable — which no
+    containment-closed set allows.  Nothing is swept then, so
+    `checked_to_length` stays 0.
     """
 
     sigma: CayleyPerm
@@ -244,10 +354,6 @@ WITNESS_TABLE: dict[Word, tuple[Word, Word]] = {
 }
 
 
-def _sigma_sortable(w: Word, sig: Word) -> bool:
-    return not contains(_run_word(w, (sig,), False), _P231)
-
-
 def _witness_valid(sig: Word, alpha: Word, beta: Word) -> bool:
     try:
         CayleyPerm(beta)
@@ -256,8 +362,8 @@ def _witness_valid(sig: Word, alpha: Word, beta: Word) -> bool:
         return False
     return (
         contains(beta, alpha)
-        and _sigma_sortable(beta, sig)
-        and not _sigma_sortable(alpha, sig)
+        and _word_sortable(("sigma", sig), beta)
+        and not _word_sortable(("sigma", sig), alpha)
     )
 
 
@@ -266,10 +372,10 @@ def _search_witness(sig: Word, max_len: int) -> tuple[Word, Word] | None:
     pattern alpha, beta in generation order and alpha smallest first."""
     for n in range(2, max_len + 1):
         for beta in _iter_letters(n):
-            if not _sigma_sortable(beta, sig):
+            if not _word_sortable(("sigma", sig), beta):
                 continue
             for alpha in sorted(subpatterns(_wrap(beta)), key=lambda q: (len(q), q)):
-                if len(alpha) >= 2 and not _sigma_sortable(tuple(alpha), sig):
+                if len(alpha) >= 2 and not _word_sortable(("sigma", sig), tuple(alpha)):
                     return tuple(alpha), beta
     return None
 
@@ -296,7 +402,7 @@ def witness_non_class(sigma) -> tuple[CayleyPerm, CayleyPerm]:
         raise ValueError("sigma needs at least two letters")
     if tuple(sig) == (1, 2):
         raise ValueError("Sort(12) is an avoidance class; no witness exists")
-    if contains(hat(sig), _P231):
+    if not _avoids_231(hat(sig)):
         raise ValueError(
             f"hat({sig}) contains 231, so Sort({sig}) is an avoidance class"
         )
@@ -338,7 +444,7 @@ def classify_sigma(sigma) -> ClassVerdict:
         raise ValueError("sigma needs at least two letters")
     if tuple(sig) == (1, 2):
         return ClassVerdict(sig, True, frozenset({_wrap((2, 1, 3))}), 0, False, None)
-    if contains(hat(sig), _P231):
+    if not _avoids_231(hat(sig)):
         rev = reverse(sig)
         basis = {_wrap(_P132)}
         if not contains(rev, _P132):
@@ -352,7 +458,8 @@ def verify_class(sigma, n_max: int) -> ClassVerdict:
 
     Predicted classes are compared set-for-set against their avoidance
     description on every length; predicted non-classes succeed when the
-    witness pair validates (witness_non_class already guarantees it).
+    witness pair validates (witness_non_class already guarantees it), and
+    report checked_to_length = 0 because no length is swept.
     """
     _check_limit(n_max, census_limit(), "census")
     verdict = classify_sigma(sigma)
@@ -360,14 +467,14 @@ def verify_class(sigma, n_max: int) -> ClassVerdict:
     if not verdict.predicted_is_class:
         alpha, beta = verdict.witness
         ok = _witness_valid(sig, tuple(alpha), tuple(beta))
-        return replace(verdict, checked_to_length=n_max, equality_holds=ok)
+        return replace(verdict, equality_holds=ok)
     if sig == (1, 2):
         targets: tuple[Word, ...] = ((2, 1, 3),)
     else:
         targets = (_P132, sig[::-1])
     for n in range(n_max + 1):
         for w in _iter_letters(n):
-            sortable = _sigma_sortable(w, sig)
+            sortable = _word_sortable(("sigma", sig), w)
             avoids = not any(contains(w, t) for t in targets)
             if sortable != avoids:
                 return replace(verdict, checked_to_length=n_max, equality_holds=False)
@@ -393,7 +500,7 @@ def mesh21_violations(n_max: int) -> Iterator[CayleyPerm]:
     _check_limit(n_max, census_limit(), "census")
     for n in range(n_max + 1):
         for w in _iter_letters(n):
-            sortable = _sigma_sortable(w, (2, 1))
+            sortable = _word_sortable(("sigma", (2, 1)), w)
             blocked = contains(w, _P2341) or contains_mesh(w, MESH_Z)
             if sortable == blocked:
                 yield _wrap(w)
@@ -407,10 +514,11 @@ def verify_21_machine_mesh(n_max: int) -> bool:
 def verify_bijectivity(sigma, n_max: int) -> bool:
     """Laws of s_sigma as a map on each length.
 
-    Equal first two letters: s_sigma permutes each length (injective and
-    multiset-preserving) and reverse-then-sort is an involution.  Unequal
-    first letters: confirms the collision s(reverse(sigma)) =
-    s(reverse(hat(sigma))) = hat(sigma) on two distinct inputs.
+    Equal first two letters: s_sigma permutes each length up to n_max
+    (injective and multiset-preserving) and reverse-then-sort is an
+    involution.  Unequal first letters: confirms the collision
+    s(reverse(sigma)) = s(reverse(hat(sigma))) = hat(sigma) on those two
+    distinct inputs only; n_max and the census bound play no part.
     """
     sig = tuple(sigma if isinstance(sigma, CayleyPerm) else CayleyPerm(sigma))
     if len(sig) < 2:
@@ -465,9 +573,9 @@ def sort11_equinumerosity(n_max: int) -> bool:
         image = set()
         avoider_count = 0
         for w in _iter_letters(n):
-            if not contains(_run_word(w, sig11, False), _P231):
+            if _word_sortable(("sigma", (1, 1)), w):
                 sortable.add(w)
-            if not contains(w, _P231):
+            if _avoids_231(w):
                 avoider_count += 1
                 image.add(_run_word(w[::-1], sig11, False)[::-1])
         if len(sortable) != avoider_count or image != sortable:
@@ -479,14 +587,14 @@ def popstack_violations(mode: str, n_max: int) -> Iterator[CayleyPerm]:
     """Inputs where pop-stack sortability disagrees with its avoidance basis."""
     _check_limit(n_max, census_limit(), "census")
     if mode == "hare":
-        patterns, basis = _POP_HARE, HARE_BASIS
+        basis = HARE_BASIS
     elif mode == "tortoise":
-        patterns, basis = _POP_TORTOISE, TORTOISE_BASIS
+        basis = TORTOISE_BASIS
     else:
         raise ValueError("mode must be 'hare' or 'tortoise'")
     for n in range(n_max + 1):
         for w in _iter_letters(n):
-            sortable = is_weakly_increasing(_run_word(w, patterns, True))
+            sortable = _word_sortable(("popstack", mode), w)
             if sortable != all(not contains(w, b) for b in basis):
                 yield _wrap(w)
 

@@ -53,6 +53,16 @@ _VERIFY_DEFAULT_N = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayleysort",
@@ -93,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'sigma-machine <perm>', 'popstack hare' or 'popstack tortoise'",
     )
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--format", choices=("text", "csv", "bfile"), default="text")
     p.set_defaults(func=cmd_enumerate)
 
@@ -220,6 +230,7 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
             lines.append("predicted: not a class")
             lines.append(f"witness alpha: {alpha}")
             lines.append(f"witness beta: {beta}")
+            lines.append("validated the witness pair only; no lengths swept")
         return verdict.equality_holds, lines
     if target == "mesh21":
         bad = next(census.mesh21_violations(n), None)
@@ -230,8 +241,11 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
     if target == "bijectivity":
         sigma = _require_sigma(args)
         ok = census.verify_bijectivity(sigma, n)
-        kind = "bijection laws" if sigma[0] == sigma[1] else "collision"
-        return ok, [f"sigma: {sigma}", f"checked {kind} for lengths <= {n}"]
+        if sigma[0] == sigma[1]:
+            checked = f"checked bijection laws for lengths <= {n}"
+        else:
+            checked = "checked the collision on 2 inputs"
+        return ok, [f"sigma: {sigma}", checked]
     if target == "involution":
         sigma = _require_sigma(args)
         ok = census.verify_involution(sigma, n)

@@ -31,20 +31,30 @@ class ResourceLimitError(ValueError):
     """An enumeration request exceeded the configured length bound."""
 
 
+def _env_limit() -> int | None:
+    """The bound set in LIMIT_ENV_VAR, or None when it is unset or empty."""
+    value = os.environ.get(LIMIT_ENV_VAR)
+    if not value:
+        return None
+    try:
+        limit = int(value)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"{LIMIT_ENV_VAR} must be a nonnegative integer, got {value!r}")
+    return limit
+
+
 def generation_limit() -> int:
     """Largest length `generate_all` accepts (default 12, env-overridable up)."""
-    value = os.environ.get(LIMIT_ENV_VAR)
-    if value:
-        return max(int(value), _GENERATION_LIMIT)
-    return _GENERATION_LIMIT
+    limit = _env_limit()
+    return _GENERATION_LIMIT if limit is None else max(limit, _GENERATION_LIMIT)
 
 
 def census_limit() -> int:
     """Largest length exhaustive sweeps accept (default 8, env-overridable)."""
-    value = os.environ.get(LIMIT_ENV_VAR)
-    if value:
-        return int(value)
-    return _CENSUS_LIMIT
+    limit = _env_limit()
+    return _CENSUS_LIMIT if limit is None else limit
 
 
 def _check_limit(n: int, limit: int, what: str) -> None:

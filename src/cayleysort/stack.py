@@ -27,7 +27,9 @@ from .core import (
     census_limit,
     is_weakly_increasing,
 )
-from .pattern import contains
+# Not called here; kept because perfbench/tracer.py wraps stack.contains
+# by name.
+from .pattern import contains  # noqa: F401
 
 PUSH = "PUSH"
 POP = "POP"
@@ -40,7 +42,6 @@ FLUSH_ALL = "flush_all"
 HARE = "hare"
 TORTOISE = "tortoise"
 
-_PATTERN_231 = (2, 3, 1)
 _POPSTACK_PATTERNS = {HARE: ((2, 1),), TORTOISE: ((2, 1), (1, 1))}
 
 
@@ -186,6 +187,26 @@ def _run_word(
     return tuple(out)
 
 
+def _avoids_231(word: Sequence[int]) -> bool:
+    """Does word avoid 231 (letters b, c, a in that order with a < b < c)?
+
+    One left-to-right pass.  `above` holds, weakly decreasing from bottom to
+    top, the letters not yet followed by a larger one; `low` is the largest
+    letter already followed by a larger one, the "2" of the highest 23 read
+    so far.  A letter below `low` completes a 231.  The census walk streams
+    the same state.
+    """
+    low = 0
+    above: list[int] = []
+    for x in word:
+        if x < low:
+            return False
+        while above and above[-1] < x:
+            low = above.pop()
+        above.append(x)
+    return True
+
+
 def _as_letters(p: Iterable[int]) -> Word:
     q = p if isinstance(p, CayleyPerm) else CayleyPerm(p)
     return tuple(q)
@@ -229,8 +250,7 @@ def is_sigma_sortable(p: Iterable[int], sigma: Iterable[int]) -> bool:
     physically-run form is `machine_output(p, sigma)` being weakly
     increasing.
     """
-    out = _run_word(_as_letters(p), (_sigma_letters(sigma),), False)
-    return not contains(out, _PATTERN_231)
+    return _avoids_231(_run_word(_as_letters(p), (_sigma_letters(sigma),), False))
 
 
 def run_popstack(p: Iterable[int], mode: str) -> SortTrace:

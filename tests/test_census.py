@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleysort import (
     HARE_BASIS,
@@ -18,6 +19,7 @@ from cayleysort import (
     sigma_panel,
     sort11_equinumerosity,
     sortable_predicate,
+    tortoise_blocks,
     tortoise_refined,
     verify_21_machine_mesh,
     verify_bijectivity,
@@ -29,7 +31,16 @@ from cayleysort import (
     verify_tortoise_refined,
     witness_non_class,
 )
-from cayleysort.census import WITNESS_TABLE, _parse_machine, _search_witness
+from cayleysort.census import (
+    WITNESS_TABLE,
+    _parse_machine,
+    _search_witness,
+    _shard_counts,
+    _word_sortable,
+)
+from cayleysort.core import fubini_numbers
+from cayleysort.stack import _avoids_231
+from conftest import universe
 from reference import brute_contains, naive_machine
 
 
@@ -90,10 +101,16 @@ class TestCountSortable:
         }
 
     def test_parallel_run_matches_serial(self):
-        serial = count_sortable("popstack tortoise", 4, threads=1)
-        parallel = count_sortable("popstack tortoise", 4, threads=2)
         strip = lambda r: dataclasses.replace(r, elapsed=0.0)
-        assert strip(serial) == strip(parallel)
+        for machine, n in (("popstack tortoise", 4), ("sigma-machine 21", 6)):
+            serial = count_sortable(machine, n, threads=1)
+            parallel = count_sortable(machine, n, threads=2)
+            assert strip(serial) == strip(parallel)
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_rejects_nonpositive_threads(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            count_sortable("popstack hare", 3, threads=threads)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -114,6 +131,12 @@ class TestReportEmitters:
         assert text.splitlines()[0] == "machine: sigma-machine 2 1"
         assert "   3          13          13" in text
         assert text.splitlines()[-1].startswith("elapsed:")
+
+    def test_to_text_pruned_line(self):
+        report = count_sortable("popstack tortoise", 4)
+        lines = report.to_text().splitlines()
+        assert lines[-2] == "pruned: 18 of 92 words counted in closed form"
+        assert all(len(line.split()) == 3 for line in lines if line[:4].strip().isdigit())
 
     def test_to_csv_plain(self):
         report = count_sortable("sigma-machine 21", 3)
@@ -201,6 +224,7 @@ class TestVerifyClass:
         verdict = verify_class((1, 1), 5)
         assert not verdict.predicted_is_class
         assert verdict.equality_holds
+        assert verdict.checked_to_length == 0  # nothing swept, witness only
         assert verdict.witness == ((1, 3, 2), (3, 1, 3, 2))
 
     def test_resource_guard(self):
@@ -307,3 +331,69 @@ class TestCharacterizations:
 
     def test_fubini(self):
         assert verify_fubini(6)
+
+
+def _per_word_census(machine, n_max):
+    """Counts, universe sizes and block-refined counts by running the
+    per-word predicate on every Cayley permutation."""
+    desc = _parse_machine(machine)
+    counts, sizes, refined = {}, {}, {}
+    for n in range(1, n_max + 1):
+        counts[n] = 0
+        sizes[n] = len(universe(n))
+        for w in universe(n):
+            if _word_sortable(desc, w):
+                counts[n] += 1
+                k = len(tortoise_blocks(w))
+                refined[n, k] = refined.get((n, k), 0) + 1
+    return counts, sizes, refined
+
+
+def _assert_walk_matches_sweep(machine, n_max):
+    report = count_sortable(machine, n_max)
+    counts, sizes, refined = _per_word_census(machine, n_max)
+    assert report.counts == counts
+    assert report.universe_sizes == sizes
+    if machine == "popstack tortoise":
+        assert report.refined == refined
+
+
+class TestCensusWalk:
+    """The prefix-tree walk behind count_sortable against per-word sweeps."""
+
+    def test_sigma_panel_to_five(self):
+        for sigma in sigma_panel():
+            _assert_walk_matches_sweep("sigma-machine " + str(sigma), 5)
+
+    @pytest.mark.parametrize("sigma", ["1 1", "1 2", "2 1", "2 3 1", "3 2 1", "2 2 1 3"])
+    def test_sigmas_to_seven(self, sigma):
+        _assert_walk_matches_sweep("sigma-machine " + sigma, 7)
+
+    @pytest.mark.parametrize("machine", ["popstack hare", "popstack tortoise"])
+    def test_popstacks_to_seven(self, machine):
+        _assert_walk_matches_sweep(machine, 7)
+
+    def test_21_shards_agree_with_naive_oracle(self):
+        for n in range(1, 7):
+            for first in range(1, n + 1):
+                words = [w for w in universe(n) if w[0] == first]
+                naive = [w for w in words if _naive_sorts(w, (2, 1))]
+                assert [w for w in words if _word_sortable(("sigma", (2, 1)), w)] == naive
+                _, visited, pruned, by_blocks = _shard_counts(("sigma-machine 21", n, first))
+                assert visited + pruned == len(words)
+                assert sum(by_blocks.values()) == len(naive)
+
+    @pytest.mark.parametrize(
+        "machine", ["sigma-machine 21", "sigma-machine 3 2 1", "popstack hare", "popstack tortoise"]
+    )
+    def test_visited_plus_pruned_is_the_universe(self, machine):
+        report = count_sortable(machine, 7)
+        fubini = fubini_numbers(7)
+        for n in range(1, 8):
+            assert report.visited[n] + report.pruned[n] == report.universe_sizes[n] == fubini[n]
+        assert report.pruned[7] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=7), max_size=12))
+    def test_avoids_231_matches_brute_force(self, word):
+        assert _avoids_231(word) == (not brute_contains(word, (2, 3, 1)))

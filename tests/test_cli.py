@@ -118,6 +118,23 @@ class TestEnumerate:
         assert code == 2
         assert "CAYLEYSORT_MAX_N" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, threads):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--machine", "popstack hare", "--n-max", "3",
+                  "--threads", threads])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_malformed_limit_env_var_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("CAYLEYSORT_MAX_N", value)
+        code, _, err = run(
+            capsys, "enumerate", "--machine", "popstack hare", "--n-max", "3"
+        )
+        assert code == 2
+        assert "CAYLEYSORT_MAX_N" in err
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -138,6 +155,7 @@ class TestVerify:
         assert code == 0
         assert "witness alpha: 1 3 2" in out
         assert "witness beta: 3 1 3 2" in out
+        assert "validated the witness pair only; no lengths swept" in out
 
     def test_fail_exit_one_with_counterexample(self, capsys):
         code, out, _ = run(capsys, "verify", "involution", "--sigma", "2 1", "--n", "3")
@@ -149,6 +167,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "bijectivity", "--sigma", "2 1")
         assert code == 0
         assert "collision" in out
+
+    def test_bijectivity_collision_claims_two_inputs(self, capsys):
+        # the collision branch checks two words whatever --n says
+        code, out, _ = run(capsys, "verify", "bijectivity", "--sigma", "2 1", "--n", "40")
+        assert code == 0
+        assert out.splitlines() == ["sigma: 2 1", "checked the collision on 2 inputs", "PASS"]
 
     def test_mesh21_small(self, capsys):
         code, out, _ = run(capsys, "verify", "mesh21", "--n", "4")

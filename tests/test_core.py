@@ -171,6 +171,13 @@ class TestGeneration:
         assert generation_limit() == 12
         assert census_limit() == 3
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    def test_malformed_env_override_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv(LIMIT_ENV_VAR, value)
+        for limit in (generation_limit, census_limit):
+            with pytest.raises(ValueError, match=LIMIT_ENV_VAR):
+                limit()
+
     def test_default_limits(self, monkeypatch):
         monkeypatch.delenv(LIMIT_ENV_VAR, raising=False)
         assert generation_limit() == 12
