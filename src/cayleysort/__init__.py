@@ -66,8 +66,10 @@ from .census import (
     ClassVerdict,
     SequenceReport,
     VerificationError,
+    class_violations,
     classify_sigma,
     count_sortable,
+    involution_violations,
     mesh21_violations,
     popstack_violations,
     sigma_panel,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import pairwise
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -29,13 +30,21 @@ from .core import (
     generate_all,
     hat,
     is_weakly_increasing,
-    reverse,
 )
 from .pattern import MESH_Z, contains, contains_mesh, subpatterns
-from .stack import _POPSTACK_PATTERNS, _avoids_231, _creates_occurrence, _run_word
+from .stack import (
+    _POPSTACK_PATTERNS,
+    _avoids_231,
+    _creates_occurrence,
+    _outputs,
+    _run_word,
+    _sigma_letters,
+)
 
-# Not called here (the census walk counts blocks itself); kept because
-# perfbench/tracer.py wraps census.tortoise_blocks by name.
+# Not called here (the census walk counts blocks itself, and the law sweeps
+# reverse tuples by slicing); kept because perfbench/tracer.py wraps
+# census.tortoise_blocks and census.reverse by name.
+from .core import reverse  # noqa: F401
 from .stack import tortoise_blocks  # noqa: F401
 
 _P132 = (1, 3, 2)
@@ -431,6 +440,16 @@ def witness_non_class(sigma) -> tuple[CayleyPerm, CayleyPerm]:
     return _wrap(alpha), _wrap(beta)
 
 
+def _class_targets(sig: Word) -> tuple[Word, ...] | None:
+    """Patterns whose avoiders make up Sort(sig) when it is a class (213 for
+    sig = 12, otherwise 132 and the reverse of sig), or None when it is not."""
+    if sig == (1, 2):
+        return ((2, 1, 3),)
+    if _avoids_231(hat(sig)):
+        return None
+    return (_P132, sig[::-1])
+
+
 def classify_sigma(sigma) -> ClassVerdict:
     """Predict whether Sort(sigma) is an avoidance class (no sweep yet).
 
@@ -439,46 +458,47 @@ def classify_sigma(sigma) -> ClassVerdict:
     set avoiding {132, reverse(sigma)} (the reverse is redundant in the
     basis when it already contains 132).  Non-classes carry a witness.
     """
-    sig = sigma if isinstance(sigma, CayleyPerm) else CayleyPerm(sigma)
-    if len(sig) < 2:
-        raise ValueError("sigma needs at least two letters")
-    if tuple(sig) == (1, 2):
-        return ClassVerdict(sig, True, frozenset({_wrap((2, 1, 3))}), 0, False, None)
-    if not _avoids_231(hat(sig)):
-        rev = reverse(sig)
-        basis = {_wrap(_P132)}
-        if not contains(rev, _P132):
-            basis.add(rev)
-        return ClassVerdict(sig, True, frozenset(basis), 0, False, None)
-    return ClassVerdict(sig, False, None, 0, False, witness_non_class(sig))
+    sig = _wrap(_sigma_letters(sigma))
+    targets = _class_targets(tuple(sig))
+    if targets is None:
+        return ClassVerdict(sig, False, None, 0, False, witness_non_class(sig))
+    basis = {_wrap(targets[0])}
+    basis.update(_wrap(t) for t in targets[1:] if not contains(t, _P132))
+    return ClassVerdict(sig, True, frozenset(basis), 0, False, None)
+
+
+def class_violations(sigma, n_max: int) -> Iterator[CayleyPerm]:
+    """Inputs of length <= n_max where sigma-machine sortability disagrees
+    with avoiding the patterns of `_class_targets`.  Raises ValueError when
+    Sort(sigma) is not predicted to be a class."""
+    sig = _sigma_letters(sigma)
+    _check_limit(n_max, census_limit(), "census")
+    targets = _class_targets(sig)
+    if targets is None:
+        raise ValueError(f"Sort({_wrap(sig)}) is not an avoidance class")
+    for n in range(n_max + 1):
+        for w, out in _outputs(n, (sig,), False):
+            if _avoids_231(out) == any(contains(w, t) for t in targets):
+                yield _wrap(w)
 
 
 def verify_class(sigma, n_max: int) -> ClassVerdict:
     """Run the exhaustive check behind classify_sigma up to length n_max.
 
     Predicted classes are compared set-for-set against their avoidance
-    description on every length; predicted non-classes succeed when the
-    witness pair validates (witness_non_class already guarantees it), and
-    report checked_to_length = 0 because no length is swept.
+    description on every length (`class_violations`); predicted non-classes
+    succeed when the witness pair validates (witness_non_class already
+    guarantees it), and report checked_to_length = 0 because no length is
+    swept.
     """
     _check_limit(n_max, census_limit(), "census")
     verdict = classify_sigma(sigma)
-    sig = tuple(verdict.sigma)
     if not verdict.predicted_is_class:
         alpha, beta = verdict.witness
-        ok = _witness_valid(sig, tuple(alpha), tuple(beta))
+        ok = _witness_valid(tuple(verdict.sigma), tuple(alpha), tuple(beta))
         return replace(verdict, equality_holds=ok)
-    if sig == (1, 2):
-        targets: tuple[Word, ...] = ((2, 1, 3),)
-    else:
-        targets = (_P132, sig[::-1])
-    for n in range(n_max + 1):
-        for w in _iter_letters(n):
-            sortable = _word_sortable(("sigma", sig), w)
-            avoids = not any(contains(w, t) for t in targets)
-            if sortable != avoids:
-                return replace(verdict, checked_to_length=n_max, equality_holds=False)
-    return replace(verdict, checked_to_length=n_max, equality_holds=True)
+    ok = next(class_violations(verdict.sigma, n_max), None) is None
+    return replace(verdict, checked_to_length=n_max, equality_holds=ok)
 
 
 def sigma_panel() -> list[CayleyPerm]:
@@ -499,10 +519,9 @@ def mesh21_violations(n_max: int) -> Iterator[CayleyPerm]:
     does not contain the mesh pattern Z"."""
     _check_limit(n_max, census_limit(), "census")
     for n in range(n_max + 1):
-        for w in _iter_letters(n):
-            sortable = _word_sortable(("sigma", (2, 1)), w)
+        for w, out in _outputs(n, ((2, 1),), False):
             blocked = contains(w, _P2341) or contains_mesh(w, MESH_Z)
-            if sortable == blocked:
+            if _avoids_231(out) == blocked:
                 yield _wrap(w)
 
 
@@ -511,19 +530,32 @@ def verify_21_machine_mesh(n_max: int) -> bool:
     return next(mesh21_violations(n_max), None) is None
 
 
+def _reverse_images(sig: Word, n: int) -> dict[bytes, bytes]:
+    """w -> reverse(s_sigma(w)) for every length-n w, in generation order:
+    one walk of the prefix tree (`_outputs`) instead of a run per word.
+    Words are stored as bytes, which takes half the memory of tuples."""
+    return {bytes(w): bytes(out[::-1]) for w, out in _outputs(n, (sig,), False)}
+
+
+def _non_involutive(table: dict[bytes, bytes]) -> Iterator[bytes]:
+    """Keys w of `table` with table[table[w]] != w, in table order."""
+    return (w for w, image in table.items() if table.get(image) != w)
+
+
 def verify_bijectivity(sigma, n_max: int) -> bool:
     """Laws of s_sigma as a map on each length.
 
     Equal first two letters: s_sigma permutes each length up to n_max
     (injective and multiset-preserving) and reverse-then-sort is an
-    involution.  Unequal first letters: confirms the collision
+    involution, checked by looking each word's image up in the same
+    length's table.  Unequal first letters: confirms the collision
     s(reverse(sigma)) = s(reverse(hat(sigma))) = hat(sigma) on those two
-    distinct inputs only; n_max and the census bound play no part.
+    distinct inputs only; n_max must be nonnegative but the census bound
+    plays no part.
     """
-    sig = tuple(sigma if isinstance(sigma, CayleyPerm) else CayleyPerm(sigma))
-    if len(sig) < 2:
-        raise ValueError("sigma needs at least two letters")
+    sig = _sigma_letters(sigma)
     if sig[0] != sig[1]:
+        _check_limit(n_max, math.inf, "census")
         r_sig = sig[::-1]
         r_hat = (sig[1], sig[0]) + sig[2:]
         r_hat = r_hat[::-1]
@@ -532,52 +564,50 @@ def verify_bijectivity(sigma, n_max: int) -> bool:
         return r_sig != r_hat and image == other == (sig[1], sig[0]) + sig[2:]
     _check_limit(n_max, census_limit(), "census")
     for n in range(n_max + 1):
-        seen = set()
-        total = 0
-        for w in _iter_letters(n):
-            out = _run_word(w, (sig,), False)
-            if sorted(out) != sorted(w):
-                return False
-            # (R o S)^2 = identity: reverse the output, sort again, reverse
-            twice = _run_word(out[::-1], (sig,), False)[::-1]
-            if twice != w:
-                return False
-            seen.add(out)
-            total += 1
-        if len(seen) != total:
+        table = _reverse_images(sig, n)
+        if any(sorted(image) != sorted(w) for w, image in table.items()):
+            return False
+        # injective: no two equal neighbours once sorted (a set of the
+        # images would take about 30 MB more at n = 8)
+        if any(a == b for a, b in pairwise(sorted(table.values()))):
+            return False
+        # (R o S)^2 = identity: reverse the output, sort again, reverse
+        if next(_non_involutive(table), None) is not None:
             return False
     return True
 
 
-def verify_involution(sigma, n_max: int) -> bool:
-    """Does reverse-compose-s_sigma square to the identity up to n_max?"""
-    sig = tuple(sigma if isinstance(sigma, CayleyPerm) else CayleyPerm(sigma))
-    if len(sig) < 2:
-        raise ValueError("sigma needs at least two letters")
+def involution_violations(sigma, n_max: int) -> Iterator[CayleyPerm]:
+    """Inputs w of length <= n_max with reverse(s_sigma(reverse(s_sigma(w))))
+    != w, found by looking each image up in its length's table."""
+    sig = _sigma_letters(sigma)
     _check_limit(n_max, census_limit(), "census")
     for n in range(n_max + 1):
-        for w in _iter_letters(n):
-            once = _run_word(w, (sig,), False)[::-1]
-            if _run_word(once, (sig,), False)[::-1] != w:
-                return False
-    return True
+        for w in _non_involutive(_reverse_images(sig, n)):
+            yield _wrap(tuple(w))
+
+
+def verify_involution(sigma, n_max: int) -> bool:
+    """Does reverse-compose-s_sigma square to the identity up to n_max?"""
+    return next(involution_violations(sigma, n_max), None) is None
 
 
 def sort11_equinumerosity(n_max: int) -> bool:
     """Per length: 11-sortable inputs are equinumerous with 231-avoiders,
     and reverse/sort-by-11/reverse maps the avoiders onto them."""
     _check_limit(n_max, census_limit(), "census")
-    sig11 = ((1, 1),)
     for n in range(n_max + 1):
         sortable = set()
         image = set()
         avoider_count = 0
-        for w in _iter_letters(n):
-            if _word_sortable(("sigma", (1, 1)), w):
-                sortable.add(w)
-            if _avoids_231(w):
+        # reversal permutes each length, so the avoiders are the words
+        # reverse(u), and their images are the words reverse(s_11(u))
+        for u, out in _outputs(n, ((1, 1),), False):
+            if _avoids_231(out):
+                sortable.add(u)
+            if _avoids_231(u[::-1]):
                 avoider_count += 1
-                image.add(_run_word(w[::-1], sig11, False)[::-1])
+                image.add(out[::-1])
         if len(sortable) != avoider_count or image != sortable:
             return False
     return True
@@ -593,8 +623,8 @@ def popstack_violations(mode: str, n_max: int) -> Iterator[CayleyPerm]:
     else:
         raise ValueError("mode must be 'hare' or 'tortoise'")
     for n in range(n_max + 1):
-        for w in _iter_letters(n):
-            sortable = _word_sortable(("popstack", mode), w)
+        for w, out in _outputs(n, _POPSTACK_PATTERNS[mode], True):
+            sortable = is_weakly_increasing(out)
             if sortable != all(not contains(w, b) for b in basis):
                 yield _wrap(w)
 
@@ -611,6 +641,7 @@ def verify_tortoise_count(n_max: int) -> bool:
 
 def verify_tortoise_refined(n_max: int) -> bool:
     """Refined tortoise counts match the binomial formula for n = 1..n_max."""
+    _check_limit(n_max, census_limit(), "census")
     try:
         for n in range(1, n_max + 1):
             tortoise_refined(n)

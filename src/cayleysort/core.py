@@ -58,6 +58,9 @@ def census_limit() -> int:
 
 
 def _check_limit(n: int, limit: int, what: str) -> None:
+    """Reject a negative length, and a length beyond the bound."""
+    if n < 0:
+        raise ValueError(f"{what} length must be nonnegative, got {n}")
     if n > limit:
         raise ResourceLimitError(
             f"{what} for length {n} exceeds the configured bound {limit}; "
@@ -177,8 +180,6 @@ def generate_all(n: int, prefix: Word = ()) -> Iterator[CayleyPerm]:
     permutations starting with those letters (used to shard sweeps).
     Guards are checked eagerly, before the first element is drawn.
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
     _check_limit(n, generation_limit(), "generation")
     return (_wrap(letters) for letters in _iter_letters(n, prefix))
 

@@ -16,19 +16,19 @@ used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .core import (
     CayleyPerm,
     Word,
-    _iter_letters,
     _check_limit,
     _wrap,
     census_limit,
     is_weakly_increasing,
 )
 # Not called here; kept because perfbench/tracer.py wraps stack.contains
-# by name.
+# and stack._iter_letters by name.
+from .core import _iter_letters  # noqa: F401
 from .pattern import contains  # noqa: F401
 
 PUSH = "PUSH"
@@ -187,6 +187,58 @@ def _run_word(
     return tuple(out)
 
 
+def _outputs(
+    n: int, sigmas: tuple[Word, ...], flush_all: bool
+) -> Iterator[tuple[Word, Word]]:
+    """Yield (w, output of the machine on w) for every length-n Cayley
+    permutation w, in `_iter_letters` order.
+
+    Walks the prefix tree as the census walk does, pushing one letter per
+    tree edge instead of rerunning the stack on every word.  A node holds
+    the stack content and the letters popped so far, which no later letter
+    changes; a child shares both lists with its parent unless its letter
+    forces pops, and copies them then.  At a leaf the stack is flushed.
+    `_run_word` stays the per-word oracle.
+    """
+    if n == 0:
+        yield (), ()
+        return
+    counts = [0] * (n + 2)
+    word: list[int] = []
+
+    def descend(top, missing, stack, out):
+        left = n - len(word) - 1
+        for v in range(1, min(n, top + 1 + left - missing) + 1):
+            if v > top:
+                v_top, v_missing = v, missing + v - top - 1
+            else:
+                v_top, v_missing = top, missing - (counts[v] == 0)
+            if v_missing > left:
+                continue
+            st, o = stack, out
+            if st and _creates_occurrence(st, v, sigmas):
+                if flush_all:
+                    st, o = [], o + st[::-1]
+                else:
+                    st, o = st[:], o[:]
+                    while True:
+                        o.append(st.pop())
+                        if not st or not _creates_occurrence(st, v, sigmas):
+                            break
+            st.append(v)
+            word.append(v)
+            if left:
+                counts[v] += 1
+                yield from descend(v_top, v_missing, st, o)
+                counts[v] -= 1
+            else:
+                yield tuple(word), tuple(o + st[::-1])
+            word.pop()
+            st.pop()
+
+    yield from descend(0, 0, [], [])
+
+
 def _avoids_231(word: Sequence[int]) -> bool:
     """Does word avoid 231 (letters b, c, a in that order with a < b < c)?
 
@@ -309,7 +361,7 @@ def fertility(sigma: Iterable[int], target: Iterable[int]) -> int:
     goal = _as_letters(target)
     n = len(goal)
     _check_limit(n, census_limit(), "fertility search")
-    return sum(1 for w in _iter_letters(n) if _run_word(w, (sig,), False) == goal)
+    return sum(1 for _, out in _outputs(n, (sig,), False) if out == goal)
 
 
 def decompose_11(p: Iterable[int]) -> tuple[int, list[Word]]:

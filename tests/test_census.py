@@ -10,9 +10,11 @@ from cayleysort import (
     TORTOISE_BASIS,
     CayleyPerm,
     ResourceLimitError,
+    class_violations,
     classify_sigma,
     contains,
     count_sortable,
+    involution_violations,
     is_sigma_sortable,
     mesh21_violations,
     popstack_violations,
@@ -31,6 +33,7 @@ from cayleysort import (
     verify_tortoise_refined,
     witness_non_class,
 )
+from cayleysort import census
 from cayleysort.census import (
     WITNESS_TABLE,
     _parse_machine,
@@ -38,9 +41,9 @@ from cayleysort.census import (
     _shard_counts,
     _word_sortable,
 )
-from cayleysort.core import fubini_numbers
-from cayleysort.stack import _avoids_231
-from conftest import universe
+from cayleysort.core import _iter_letters, fubini_numbers
+from cayleysort.stack import _avoids_231, _run_word
+from conftest import universe, words_up_to
 from reference import brute_contains, naive_machine
 
 
@@ -397,3 +400,142 @@ class TestCensusWalk:
     @given(st.lists(st.integers(min_value=1, max_value=7), max_size=12))
     def test_avoids_231_matches_brute_force(self, word):
         assert _avoids_231(word) == (not brute_contains(word, (2, 3, 1)))
+
+
+def _involutive(w, sig):
+    """reverse(s(reverse(s(w)))) == w, by two runs of the machine."""
+    once = _run_word(w, (sig,), False)[::-1]
+    return _run_word(once, (sig,), False)[::-1] == tuple(w)
+
+
+def _per_word_bijectivity(sig, n_max):
+    """verify_bijectivity with two machine runs per word."""
+    if sig[0] != sig[1]:
+        r_sig = sig[::-1]
+        r_hat = ((sig[1], sig[0]) + sig[2:])[::-1]
+        image = _run_word(r_sig, (sig,), False)
+        other = _run_word(r_hat, (sig,), False)
+        return r_sig != r_hat and image == other == (sig[1], sig[0]) + sig[2:]
+    for n in range(n_max + 1):
+        seen = set()
+        for w in _iter_letters(n):
+            out = _run_word(w, (sig,), False)
+            if sorted(out) != sorted(w) or not _involutive(w, sig):
+                return False
+            seen.add(out)
+        if len(seen) != len(universe(n)):
+            return False
+    return True
+
+
+def _per_word_sort11(n_max):
+    """sort11_equinumerosity with a machine run per word and per avoider."""
+    for n in range(n_max + 1):
+        sortable = {w for w in universe(n) if _avoids_231(_run_word(w, ((1, 1),), False))}
+        avoiders = [w for w in universe(n) if _avoids_231(w)]
+        image = {_run_word(w[::-1], ((1, 1),), False)[::-1] for w in avoiders}
+        if len(sortable) != len(avoiders) or image != sortable:
+            return False
+    return True
+
+
+class TestLawSweeps:
+    """The law checks read s_sigma off one prefix-tree sweep per length and
+    check the involution by table lookup; here they are compared with runs
+    of the machine on every word."""
+
+    def test_operator_laws_agree_with_per_word_runs(self):
+        for sigma in sigma_panel():
+            sig = tuple(sigma)
+            assert verify_bijectivity(sigma, 5) == _per_word_bijectivity(sig, 5), sig
+            bad = [w for w in words_up_to(5) if not _involutive(w, sig)]
+            assert list(involution_violations(sigma, 5)) == bad, sig
+            assert verify_involution(sigma, 5) == (not bad), sig
+
+    def test_sort11_agrees_with_per_word_runs(self):
+        for n in range(6):
+            assert sort11_equinumerosity(n) == _per_word_sort11(n)
+
+    def test_corrupted_output_fails_the_laws(self, monkeypatch):
+        """One wrong output from the sweep must fail both law checks; it
+        keeps the multiset, so only the injectivity and lookup checks can
+        catch it."""
+        real = census._outputs
+
+        def corrupted(n, sigmas, flush_all):
+            for w, out in real(n, sigmas, flush_all):
+                if w == (1, 2, 2, 1):
+                    assert out != out[::-1]
+                    out = out[::-1]
+                yield w, out
+
+        assert verify_bijectivity((1, 1), 4)
+        assert verify_involution((1, 1), 4)
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        assert not verify_bijectivity((1, 1), 4)
+        assert not verify_involution((1, 1), 4)
+        assert list(involution_violations((1, 1), 4))
+
+    @pytest.mark.parametrize(
+        "wrong", [(1, 1, 2, 2), (9, 9, 9, 9)], ids=["not-injective", "not-a-rearrangement"]
+    )
+    def test_bijectivity_checks_catch_a_corruption_without_the_lookup(
+        self, monkeypatch, wrong
+    ):
+        """The injectivity and multiset checks each fail a wrong output on
+        their own, with the involution lookup switched off."""
+        real = census._outputs
+
+        def corrupted(n, sigmas, flush_all):
+            for w, out in real(n, sigmas, flush_all):
+                yield w, (wrong if w == (1, 2, 2, 1) else out)
+
+        monkeypatch.setattr(census, "_non_involutive", lambda table: iter(()))
+        assert verify_bijectivity((1, 1), 4)
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        assert not verify_bijectivity((1, 1), 4)
+
+    def test_class_violations(self):
+        assert list(class_violations((3, 2, 1), 5)) == []
+        assert list(class_violations((1, 2), 5)) == []
+        with pytest.raises(ValueError, match="not an avoidance class"):
+            list(class_violations((1, 1), 3))
+
+    def test_class_violations_reports_a_corrupted_output(self, monkeypatch):
+        real = census._outputs
+
+        def corrupted(n, sigmas, flush_all):
+            for w, out in real(n, sigmas, flush_all):
+                # s_321(123) = 231; a sorted output would make 123 sortable
+                yield w, (w if w == (1, 2, 3) else out)
+
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        assert list(class_violations((3, 2, 1), 4)) == [(1, 2, 3)]
+        assert not verify_class((3, 2, 1), 4).equality_holds
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_sortable("popstack hare", -1),
+        lambda: tortoise_refined(-1),
+        lambda: verify_class((3, 2, 1), -1),
+        lambda: next(class_violations((3, 2, 1), -1)),
+        lambda: next(mesh21_violations(-1)),
+        lambda: verify_21_machine_mesh(-2),
+        lambda: verify_bijectivity((1, 1), -1),
+        lambda: verify_bijectivity((2, 1), -1),
+        lambda: verify_involution((1, 1), -1),
+        lambda: next(involution_violations((1, 1), -1)),
+        lambda: sort11_equinumerosity(-1),
+        lambda: next(popstack_violations("hare", -1)),
+        lambda: verify_popstack_characterization("tortoise", -1),
+        lambda: verify_tortoise_count(-1),
+        lambda: verify_tortoise_refined(-1),
+        lambda: verify_fubini(-1),
+    ],
+)
+def test_negative_length_is_rejected(call):
+    with pytest.raises(ValueError, match="nonnegative") as info:
+        call()
+    assert not isinstance(info.value, ResourceLimitError)

@@ -1,10 +1,17 @@
 """End-to-end CLI checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cayleysort
+from cayleysort import census
 from cayleysort.cli import build_parser, main
+from cayleysort.stack import _outputs
 
 
 def run(capsys, *argv):
@@ -163,6 +170,36 @@ class TestVerify:
         assert "counterexample: 1 2" in out
         assert out.splitlines()[-1] == "FAIL"
 
+    @pytest.mark.parametrize(
+        "target, checked",
+        [
+            ("bijectivity", "checked bijection laws for lengths <= 6"),
+            ("involution", "checked lengths <= 6"),
+        ],
+    )
+    def test_sweep_reports_words_checked(self, capsys, target, checked):
+        code, out, _ = run(capsys, "verify", target, "--sigma", "1 1", "--n", "6")
+        assert code == 0
+        assert out.splitlines() == ["sigma: 1 1", checked, "words checked: 5317", "PASS"]
+        # the number of words the sweep visits, lengths 0 to 6
+        assert sum(1 for n in range(7) for _ in _outputs(n, ((1, 1),), False)) == 5317
+
+    def test_involution_fail_claims_no_word_count(self, capsys):
+        _, out, _ = run(capsys, "verify", "involution", "--sigma", "2 1", "--n", "3")
+        assert "words checked" not in out
+
+    def test_class_fail_names_the_first_counterexample(self, capsys, monkeypatch):
+        real = census._outputs
+
+        def corrupted(n, sigmas, flush_all):
+            for w, out in real(n, sigmas, flush_all):
+                yield w, (w if w == (1, 2, 3) else out)
+
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        code, out, _ = run(capsys, "verify", "class", "--sigma", "3 2 1", "--n", "4")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["counterexample: 1 2 3", "FAIL"]
+
     def test_bijectivity_collision(self, capsys):
         code, out, _ = run(capsys, "verify", "bijectivity", "--sigma", "2 1")
         assert code == 0
@@ -193,6 +230,40 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "everything"])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--machine", "sigma-machine 21", "--n-max", "-3"],
+        ["verify", "mesh21", "--n", "-2"],
+        ["verify", "involution", "--sigma", "11", "--n", "-1"],
+        ["basis", "--machine", "popstack hare", "--n", "-1"],
+        ["verify", "fubini", "--n", "x"],
+    ],
+    ids=["enumerate", "mesh21", "involution", "basis", "not-an-integer"],
+)
+def test_negative_length_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected an integer of at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["cayleysort", "cayleysort.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(cayleysort.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "sort", "--sigma", "21", "132"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1 2 3\nSORTABLE\n"
 
 
 class TestWitness:

@@ -24,7 +24,9 @@ from cayleysort import (
     s_sigma,
     tortoise_blocks,
 )
-from cayleysort.stack import _run_word
+from cayleysort.census import sigma_panel
+from cayleysort.core import _iter_letters
+from cayleysort.stack import _POPSTACK_PATTERNS, _outputs, _run_word
 from conftest import SIGMA_PANEL16, universe, words_up_to
 from reference import naive_machine
 
@@ -112,6 +114,51 @@ class TestAgainstNaiveSimulator:
             out, events, _ = naive_machine(p, patterns, flush_all=True)
             assert trace.output == out
             assert trace.events == events
+
+
+def _per_word_outputs(n, sigmas, flush_all):
+    return [(w, _run_word(w, sigmas, flush_all)) for w in _iter_letters(n)]
+
+
+#: sigma-stacks (single pops) and both pop-stacks, as (sigmas, flush_all)
+_SWEEP_MACHINES = [
+    (((1, 1),), False),
+    (((2, 1),), False),
+    (((2, 2, 1),), False),
+    (((3, 2, 1),), False),
+    (((2, 2, 1, 3),), False),
+    (_POPSTACK_PATTERNS["hare"], True),
+    (_POPSTACK_PATTERNS["tortoise"], True),
+]
+_SWEEP_IDS = ["11", "21", "221", "321", "2213", "hare", "tortoise"]
+
+
+class TestOutputsSweep:
+    """The prefix-tree output sweep `_outputs` behind the law checks, word
+    for word against a run of the machine on each word."""
+
+    def test_sigma_panel_to_five(self):
+        for sigma in sigma_panel():
+            sigmas = (tuple(sigma),)
+            for n in range(6):
+                assert list(_outputs(n, sigmas, False)) == _per_word_outputs(
+                    n, sigmas, False
+                ), (sigma, n)
+
+    @pytest.mark.parametrize("sigmas, flush_all", _SWEEP_MACHINES, ids=_SWEEP_IDS)
+    def test_machines_to_seven(self, sigmas, flush_all):
+        for n in range(8):
+            assert list(_outputs(n, sigmas, flush_all)) == _per_word_outputs(
+                n, sigmas, flush_all
+            ), n
+
+    @pytest.mark.parametrize("sigmas, flush_all", _SWEEP_MACHINES, ids=_SWEEP_IDS)
+    def test_naive_simulator_to_five(self, sigmas, flush_all):
+        for n in range(6):
+            got = list(_outputs(n, sigmas, flush_all))
+            assert [w for w, _ in got] == list(universe(n))
+            for w, out in got:
+                assert out == naive_machine(w, sigmas, flush_all=flush_all)[0], w
 
 
 class TestSSigma:
