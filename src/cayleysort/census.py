@@ -271,8 +271,9 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     completions join the universe in closed form and are recorded as
     pruned.  The per-word predicate `_word_sortable` is the oracle the tests
     compare the walk against.  With threads > 1 each length is sharded by
-    leading letter over a process pool; counts are summed, so the report
-    does not depend on the parallelism degree.
+    leading letter over a process pool of at most one worker per shard;
+    counts are summed, so the report does not depend on the parallelism
+    degree.
     """
     desc = _parse_machine(machine)
     _check_limit(n_max, census_limit(), "census")
@@ -285,8 +286,10 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     pruned: dict[int, int] = {}
     refined: dict[tuple[int, int], int] = {}
     jobs = [(machine, n, first) for n in range(1, n_max + 1) for first in range(1, n + 1)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a pool starts all its workers at once, so never more than the shards
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_shard_counts, jobs))
     else:
         results = [_shard_counts(job) for job in jobs]

@@ -237,7 +237,9 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
             basis = sorted(verdict.predicted_basis, key=lambda b: (len(b), b))
             lines.append("predicted: avoidance class, basis " + "; ".join(map(str, basis)))
             lines.append(f"sortable set compared with avoidance set for lengths <= {n}")
-            if not verdict.equality_holds:
+            if verdict.equality_holds:
+                lines.append(_words_checked(n))
+            else:
                 lines.append(f"counterexample: {next(census.class_violations(sigma, n))}")
         else:
             alpha, beta = verdict.witness
@@ -248,10 +250,7 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
         return verdict.equality_holds, lines
     if target == "mesh21":
         bad = next(census.mesh21_violations(n), None)
-        lines = [f"checked all inputs of length <= {n}"]
-        if bad is not None:
-            lines.append(f"counterexample: {bad}")
-        return bad is None, lines
+        return bad is None, _sweep_lines(n, bad)
     if target == "bijectivity":
         sigma = _require_sigma(args)
         ok = census.verify_bijectivity(sigma, n)
@@ -273,10 +272,7 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
     if target in ("popstack-hare", "popstack-tortoise"):
         mode = target.split("-")[1]
         bad = next(census.popstack_violations(mode, n), None)
-        lines = [f"checked all inputs of length <= {n}"]
-        if bad is not None:
-            lines.append(f"counterexample: {bad}")
-        return bad is None, lines
+        return bad is None, _sweep_lines(n, bad)
     if target == "tortoise-count":
         report = census.count_sortable("popstack tortoise", n)
         counts = report.count_list()
@@ -300,6 +296,14 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
         counts = fubini_numbers(n)[1:]
         return ok, ["counts: " + " ".join(map(str, counts))]
     raise ValueError(f"unknown verify target {target!r}")
+
+
+def _sweep_lines(n: int, bad: CayleyPerm | None) -> list[str]:
+    """Report of a sweep over all inputs of length <= n that stops at its
+    first counterexample `bad`, or checks every word when there is none."""
+    lines = [f"checked all inputs of length <= {n}"]
+    lines.append(_words_checked(n) if bad is None else f"counterexample: {bad}")
+    return lines
 
 
 def _words_checked(n: int) -> str:

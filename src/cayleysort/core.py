@@ -187,78 +187,51 @@ def generate_all(n: int, prefix: Word = ()) -> Iterator[CayleyPerm]:
 def _iter_letters(n: int, prefix: Word = ()) -> Iterator[Word]:
     """Raw-tuple generator behind `generate_all` (no guard, no wrapping).
 
-    Iterative DFS: at each open position try letters in increasing order,
-    pruning any state whose count of missing values 1..max exceeds the
-    positions left to fill.  Yields in lexicographic order.
+    Recursive descent over the open positions, trying letters in increasing
+    order: `top` is the maximum so far and `missing` the number of values
+    below it not yet used, and a letter is skipped when more values would be
+    missing than positions are left.  Yields in lexicographic order, nothing
+    for a prefix no length-n Cayley permutation starts with.
     """
-    prefix = tuple(prefix)
-    if len(prefix) > n:
+    word = list(prefix)
+    if len(word) > n:
         return
     counts = [0] * (n + 2)
-    cur_max = 0
-    missing = 0
-    for v in prefix:
+    top = missing = 0
+    for v in word:
         if v < 1 or v > n:
             return
-        if v > cur_max:
-            missing += v - cur_max - 1
-            cur_max = v
+        if v > top:
+            missing += v - top - 1
+            top = v
         elif counts[v] == 0:
             missing -= 1
         counts[v] += 1
-    if missing > n - len(prefix):
+    if missing > n - len(word):
         return
-    if len(prefix) == n:
-        yield prefix
+    if len(word) == n:
+        yield tuple(word)
         return
 
-    base = len(prefix)
-    word = list(prefix) + [0] * (n - base)
-    saved_max = [0] * n
-    saved_missing = [0] * n
-    cand = [1] * n
-    pos = base
-    while pos >= base:
-        remaining = n - pos - 1
-        v = cand[pos]
-        v_cap = min(n, cur_max + 1 + remaining - missing)
-        placed = False
-        while v <= v_cap:
-            if v > cur_max:
-                new_missing = missing + (v - cur_max - 1)
-            elif counts[v] == 0:
-                new_missing = missing - 1
+    def descend(top: int, missing: int) -> Iterator[Word]:
+        left = n - len(word) - 1
+        for v in range(1, min(n, top + 1 + left - missing) + 1):
+            if v > top:
+                v_top, v_missing = v, missing + v - top - 1
             else:
-                new_missing = missing
-            if new_missing <= remaining:
-                saved_max[pos] = cur_max
-                saved_missing[pos] = missing
-                word[pos] = v
+                v_top, v_missing = top, missing - (counts[v] == 0)
+            if v_missing > left:
+                continue
+            word.append(v)
+            if left:
                 counts[v] += 1
-                if v > cur_max:
-                    cur_max = v
-                missing = new_missing
-                cand[pos] = v + 1
-                placed = True
-                break
-            v += 1
-        if not placed:
-            word[pos] = 0
-            pos -= 1
-            if pos >= base:
-                counts[word[pos]] -= 1
-                cur_max = saved_max[pos]
-                missing = saved_missing[pos]
-            continue
-        if pos == n - 1:
-            yield tuple(word)
-            counts[word[pos]] -= 1
-            cur_max = saved_max[pos]
-            missing = saved_missing[pos]
-            word[pos] = 0
-        else:
-            pos += 1
-            cand[pos] = 1
+                yield from descend(v_top, v_missing)
+                counts[v] -= 1
+            else:
+                yield tuple(word)
+            word.pop()
+
+    yield from descend(top, missing)
 
 
 def fubini_numbers(n_max: int) -> list[int]:

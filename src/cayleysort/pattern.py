@@ -15,42 +15,58 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .core import CayleyPerm, Word, generate_all, normalize
+from .core import CayleyPerm, Word, _check_limit, census_limit, generate_all, normalize
+
+
+def _extend(
+    text: Sequence[int],
+    pat: Sequence[int],
+    vals: list[int],
+    pos: list[int],
+    t: int,
+    start: int,
+    accept: Callable[[list[int]], bool] | None,
+) -> bool:
+    """The one order-isomorphic search: extend a partial occurrence of `pat`.
+
+    `vals[:t]` are the text letters already matched to `pat[:t]` and
+    `pos[:t]` their 0-based positions; letters for `pat[t:]` are sought from
+    position `start` on, pruning branches that cannot supply enough
+    remaining letters.  Each complete occurrence is handed to `accept`, in
+    lexicographic order of positions, and the search stops (returning True)
+    at the first one `accept` takes; `accept=None` takes the first.  Needs
+    0 <= t < len(pat).
+    """
+    k = len(pat)
+    pt = pat[t]
+    last = t + 1 == k
+    for i in range(start, len(text) - (k - 1 - t)):
+        v = text[i]
+        for u in range(t):
+            pu = pat[u]
+            vu = vals[u]
+            if (pt > pu) != (v > vu) or (pt == pu) != (v == vu):
+                break
+        else:
+            vals[t] = v
+            pos[t] = i
+            if last:
+                if accept is None or accept(pos):
+                    return True
+            elif _extend(text, pat, vals, pos, t + 1, i + 1, accept):
+                return True
+    return False
 
 
 def contains(text: Sequence[int], pat: Sequence[int]) -> bool:
     """True when some subsequence of `text` is order-isomorphic to `pat`.
 
-    Depth-first search over candidate positions, pruning branches that
-    cannot supply enough remaining letters.  The empty pattern is contained
-    in everything.
+    The empty pattern is contained in everything.
     """
     k = len(pat)
-    n = len(text)
     if k == 0:
         return True
-    if k > n:
-        return False
-    vals = [0] * k
-
-    def extend(t: int, start: int) -> bool:
-        pt = pat[t]
-        for i in range(start, n - (k - 1 - t)):
-            v = text[i]
-            ok = True
-            for u in range(t):
-                pu = pat[u]
-                vu = vals[u]
-                if (pt > pu) != (v > vu) or (pt == pu) != (v == vu):
-                    ok = False
-                    break
-            if ok:
-                vals[t] = v
-                if t + 1 == k or extend(t + 1, i + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
+    return _extend(text, pat, [0] * k, [0] * k, 0, 0, None)
 
 
 def occurrences(text: Sequence[int], pat: Sequence[int]) -> list[tuple[int, ...]]:
@@ -60,35 +76,15 @@ def occurrences(text: Sequence[int], pat: Sequence[int]) -> list[tuple[int, ...]
     1 3 2 at positions (1, 2) and (1, 3).
     """
     k = len(pat)
-    n = len(text)
-    found: list[tuple[int, ...]] = []
     if k == 0:
         return [()]
-    if k > n:
-        return found
-    vals = [0] * k
-    idx = [0] * k
+    found: list[tuple[int, ...]] = []
 
-    def extend(t: int, start: int) -> None:
-        pt = pat[t]
-        for i in range(start, n - (k - 1 - t)):
-            v = text[i]
-            ok = True
-            for u in range(t):
-                pu = pat[u]
-                vu = vals[u]
-                if (pt > pu) != (v > vu) or (pt == pu) != (v == vu):
-                    ok = False
-                    break
-            if ok:
-                vals[t] = v
-                idx[t] = i
-                if t + 1 == k:
-                    found.append(tuple(j + 1 for j in idx))
-                else:
-                    extend(t + 1, i + 1)
+    def record(pos: list[int]) -> bool:
+        found.append(tuple(j + 1 for j in pos))
+        return False
 
-    extend(0, 0)
+    _extend(text, pat, [0] * k, [0] * k, 0, 0, record)
     return found
 
 
@@ -196,7 +192,10 @@ MESH_Z = CayleyMeshPattern(
 
 
 def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
-    """True when some occurrence of mp.tau in `text` violates no cell of mp."""
+    """True when some occurrence of mp.tau in `text` violates no cell of mp.
+
+    The occurrence search stops at the first occurrence that is clear.
+    """
     tau = mp.tau
     k = len(tau)
     m = tau.max_letter
@@ -206,10 +205,9 @@ def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
     cells = [(i, j, False) for i, j in mp.gap_cells] + [
         (i, v, True) for i, v in mp.eq_cells
     ]
-    for occ in occurrences(text, tau):
-        pos = [q - 1 for q in occ]
+
+    def clear(pos: list[int]) -> bool:
         image = {tau[t]: text[pos[t]] for t in range(k)}
-        clear = True
         for i, j, is_eq in cells:
             lo = pos[i - 1] if i >= 1 else -1
             hi = pos[i] if i <= k - 1 else n
@@ -224,16 +222,31 @@ def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
                 else:
                     bad = image[j] < v < image[j + 1]
                 if bad:
-                    clear = False
-                    break
-            if not clear:
-                break
-        if clear:
-            return True
-    return False
+                    return False
+        return True
+
+    return _extend(text, tau, [0] * k, [0] * k, 0, 0, clear)
 
 
 Member = Callable[[CayleyPerm], bool]
+
+
+def _memoised(member: Member) -> Member:
+    """member, run at most once per distinct word.
+
+    A plain dict of verdicts: `functools.cache` would also keep a one-tuple
+    key per word, which at n_max = 7 raised the peak memory of a basis
+    sweep by about 2 MB.
+    """
+    verdict: dict[CayleyPerm, bool] = {}
+
+    def check(p: CayleyPerm) -> bool:
+        got = verdict.get(p)
+        if got is None:
+            got = verdict[p] = member(p)
+        return got
+
+    return check
 
 
 def downward_closure_violations(
@@ -243,17 +256,12 @@ def downward_closure_violations(
     and not member(alpha), over |beta| <= n_max.
 
     Empty exactly when the member set is closed under pattern containment
-    up to that length.  Sorted by (|beta|, beta, |alpha|, alpha).
+    up to that length.  Sorted by (|beta|, beta, |alpha|, alpha).  n_max
+    is bounded by `census_limit`, and member runs once per distinct word.
     """
+    _check_limit(n_max, census_limit(), "closure sweep")
     violations: list[tuple[CayleyPerm, CayleyPerm]] = []
-    verdict: dict[CayleyPerm, bool] = {}
-
-    def check(p: CayleyPerm) -> bool:
-        got = verdict.get(p)
-        if got is None:
-            got = verdict[p] = member(p)
-        return got
-
+    check = _memoised(member)
     for n in range(n_max + 1):
         for beta in generate_all(n):
             if not check(beta):
@@ -271,17 +279,12 @@ def minimal_non_members(member: Member, n_max: int) -> list[CayleyPerm]:
     A word belongs to the result when member rejects it but accepts every
     proper pattern of it.  For a set that is an avoidance class this is its
     basis restricted to lengths <= n_max.  Sorted by length, then
-    lexicographically.
+    lexicographically.  n_max is bounded by `census_limit`, and member runs
+    once per distinct word.
     """
+    _check_limit(n_max, census_limit(), "basis sweep")
     minimal: list[CayleyPerm] = []
-    verdict: dict[CayleyPerm, bool] = {}
-
-    def check(p: CayleyPerm) -> bool:
-        got = verdict.get(p)
-        if got is None:
-            got = verdict[p] = member(p)
-        return got
-
+    check = _memoised(member)
     for n in range(n_max + 1):
         for p in generate_all(n):
             if check(p):

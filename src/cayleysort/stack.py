@@ -26,6 +26,8 @@ from .core import (
     census_limit,
     is_weakly_increasing,
 )
+from .pattern import _extend
+
 # Not called here; kept because perfbench/tracer.py wraps stack.contains
 # and stack._iter_letters by name.
 from .core import _iter_letters  # noqa: F401
@@ -97,7 +99,8 @@ def _creates_occurrence(stack: list[int], x: int, sigmas: tuple[Word, ...]) -> b
     The stack content is occurrence-free between events, so any new
     occurrence must use the incoming letter, which sits on top and can only
     play the first letter of a pattern.  It therefore suffices to embed the
-    rest of each pattern into the current content below x.
+    rest of each pattern into the current content below x, read top to
+    bottom, with x already matched to the pattern's first letter.
     """
     depth = len(stack)
     for sig in sigmas:
@@ -117,37 +120,10 @@ def _creates_occurrence(stack: list[int], x: int, sigmas: tuple[Word, ...]) -> b
             elif x in stack:
                 return True
             continue
-        if _embed_below(stack, x, sig):
+        vals = [x] + [0] * (k - 1)
+        if _extend(stack[::-1], sig, vals, [0] * k, 1, 0, None):
             return True
     return False
-
-
-def _embed_below(stack: list[int], x: int, sig: Word) -> bool:
-    """Embed sig[1:] into the stack read top to bottom, with x as sig[0]."""
-    rev = stack[::-1]
-    k = len(sig)
-    n = len(rev)
-    vals = [0] * k
-    vals[0] = x
-
-    def extend(t: int, start: int) -> bool:
-        st = sig[t]
-        for i in range(start, n - (k - 1 - t)):
-            v = rev[i]
-            ok = True
-            for u in range(t):
-                su = sig[u]
-                vu = vals[u]
-                if (st > su) != (v > vu) or (st == su) != (v == vu):
-                    ok = False
-                    break
-            if ok:
-                vals[t] = v
-                if t + 1 == k or extend(t + 1, i + 1):
-                    return True
-        return False
-
-    return extend(1, 0)
 
 
 def _run_word(

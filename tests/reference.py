@@ -109,3 +109,34 @@ def fubini_via_stirling(n_max):
         sum(factorial(k) * table[n][k] for k in range(n + 1))
         for n in range(n_max + 1)
     ]
+
+
+def brute_contains_mesh(text, mp):
+    """Mesh containment by its definition: some occurrence of mp.tau, as
+    listed by brute_occurrences, leaves every shaded cell of mp empty.
+
+    For an occurrence at 1-based positions q_1 < ... < q_k with q_0 = 0 and
+    q_{k+1} = len(text) + 1, region i holds the letters strictly between
+    q_i and q_{i+1}.  Gap cell (i, j) is hit by a letter of region i
+    strictly between image(j) and image(j + 1), where image(0) = -inf and
+    image(m + 1) = +inf; eq cell (i, v) by a letter of region i equal to
+    image(v).
+    """
+    text = tuple(text)
+    tau = tuple(mp.tau)
+    m = max(tau, default=0)
+    for occ in brute_occurrences(text, tau):
+        image = {tau[t]: text[q - 1] for t, q in enumerate(occ)}
+        bounds = [float("-inf")] + [image[v] for v in range(1, m + 1)] + [float("inf")]
+        q = (0,) + occ + (len(text) + 1,)
+
+        def region(i):
+            return [text[p - 1] for p in range(q[i] + 1, q[i + 1])]
+
+        gap_hit = any(
+            bounds[j] < x < bounds[j + 1] for i, j in mp.gap_cells for x in region(i)
+        )
+        eq_hit = any(x == image[v] for i, v in mp.eq_cells for x in region(i))
+        if not gap_hit and not eq_hit:
+            return True
+    return False

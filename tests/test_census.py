@@ -110,6 +110,32 @@ class TestCountSortable:
             parallel = count_sortable(machine, n, threads=2)
             assert strip(serial) == strip(parallel)
 
+    @pytest.mark.parametrize(
+        "n_max, threads, workers", [(3, 5000, 6), (3, 4, 4), (1, 8, None), (0, 8, None)]
+    )
+    def test_pool_has_at_most_one_worker_per_shard(self, monkeypatch, n_max, threads, workers):
+        # a stand-in pool records its size and maps serially; no process starts
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        strip = lambda r: dataclasses.replace(r, elapsed=0.0)
+        report = count_sortable("popstack hare", n_max, threads=threads)
+        assert strip(report) == strip(count_sortable("popstack hare", n_max))
+        assert started == ([] if workers is None else [workers])
+
     @pytest.mark.parametrize("threads", [0, -4])
     def test_rejects_nonpositive_threads(self, threads):
         with pytest.raises(ValueError, match="threads"):

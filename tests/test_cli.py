@@ -184,6 +184,45 @@ class TestVerify:
         # the number of words the sweep visits, lengths 0 to 6
         assert sum(1 for n in range(7) for _ in _outputs(n, ((1, 1),), False)) == 5317
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mesh21",),
+            ("popstack-hare",),
+            ("popstack-tortoise",),
+            ("class", "--sigma", "3 2 1"),
+        ],
+        ids=["mesh21", "hare", "tortoise", "class"],
+    )
+    def test_law_sweep_reports_words_checked(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv, "--n", "4")
+        assert code == 0
+        # lengths 0 to 4: 1 + 1 + 3 + 13 + 75 words
+        assert out.splitlines()[-2:] == ["words checked: 93", "PASS"]
+
+    @pytest.mark.parametrize(
+        "argv, corrupt",
+        [
+            (("mesh21",), (2, 3, 1)),
+            (("popstack-hare",), (2, 3, 1)),
+            (("popstack-tortoise",), (2, 3, 1)),
+            (("class", "--sigma", "3 2 1"), (1, 2, 3)),
+        ],
+        ids=["mesh21", "hare", "tortoise", "class"],
+    )
+    def test_law_sweep_fail_claims_no_word_count(self, capsys, monkeypatch, argv, corrupt):
+        real = census._outputs
+
+        def corrupted(n, sigmas, flush_all):
+            for w, out in real(n, sigmas, flush_all):
+                yield w, (corrupt if w == (1, 2, 3) else out)
+
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        code, out, _ = run(capsys, "verify", *argv, "--n", "4")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["counterexample: 1 2 3", "FAIL"]
+        assert "words checked" not in out
+
     def test_involution_fail_claims_no_word_count(self, capsys):
         _, out, _ = run(capsys, "verify", "involution", "--sigma", "2 1", "--n", "3")
         assert "words checked" not in out
@@ -294,6 +333,13 @@ class TestBasis:
     def test_sigma_shorthand(self, capsys):
         code, out, _ = run(capsys, "basis", "--sigma", "3 2 1", "--n", "4")
         assert out == "1 2 3\n1 3 2\n"
+
+    def test_beyond_the_sweep_bound_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("CAYLEYSORT_MAX_N", raising=False)
+        code, out, err = run(capsys, "basis", "--sigma", "2 1", "--n", "9")
+        assert code == 2
+        assert out == ""
+        assert "CAYLEYSORT_MAX_N" in err
 
     def test_exactly_one_selector(self, capsys):
         code, _, err = run(

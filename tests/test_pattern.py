@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleysort import (
     MESH_W,
     MESH_Z,
     CayleyMeshPattern,
     CayleyPerm,
+    ResourceLimitError,
     avoids_all,
     contains,
     contains_mesh,
@@ -17,11 +19,17 @@ from cayleysort import (
     is_sigma_sortable,
     is_weakly_increasing,
     minimal_non_members,
+    normalize,
     occurrences,
     subpatterns,
 )
-from conftest import universe, words_up_to
-from reference import brute_contains, brute_occurrences
+from conftest import random_words, universe, words_up_to
+from reference import brute_contains, brute_contains_mesh, brute_occurrences
+
+#: Random words up to length 12 (not necessarily Cayley permutations) and
+#: random patterns up to length 5, for the differential tests.
+_TEXTS = random_words(0, 12, 7)
+_PATTERNS = random_words(0, 5, 5).map(normalize)
 
 
 class TestContains:
@@ -60,6 +68,11 @@ class TestContains:
             for pat in words_up_to(3):
                 assert contains(text, pat) == brute_contains(text, pat)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS, _PATTERNS)
+    def test_random_words_agree_with_brute_force(self, text, pat):
+        assert contains(text, pat) == brute_contains(text, pat)
+
 
 class TestOccurrences:
     def test_positions_are_one_based(self):
@@ -78,6 +91,11 @@ class TestOccurrences:
                 got = occurrences(text, pat)
                 assert got == brute_occurrences(text, pat), (text, pat)
                 assert got == sorted(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS, _PATTERNS)
+    def test_random_words_agree_with_brute_force(self, text, pat):
+        assert occurrences(text, pat) == brute_occurrences(text, pat)
 
 
 def test_avoids_all():
@@ -169,6 +187,16 @@ class TestMeshPattern:
             for t in taus:
                 assert contains_mesh(text, meshes[t]) == contains(text, t)
 
+    @pytest.mark.parametrize("mp", [MESH_W, MESH_Z], ids=["W", "Z"])
+    def test_agrees_with_definition_to_six(self, mp):
+        for text in words_up_to(6):
+            assert contains_mesh(text, mp) == brute_contains_mesh(text, mp), text
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS, st.sampled_from([MESH_W, MESH_Z]))
+    def test_random_words_agree_with_definition(self, text, mp):
+        assert contains_mesh(text, mp) == brute_contains_mesh(text, mp)
+
     def test_z_and_w_agree_on_repetition_free_words(self):
         # equality cells can never fire without repeated letters
         for n in range(7):
@@ -193,6 +221,34 @@ class TestDownwardClosure:
         member = lambda p: is_sigma_sortable(p, (2, 1))
         pairs = downward_closure_violations(member, 5)
         assert (CayleyPerm((3, 4, 2, 4, 1)), CayleyPerm((3, 2, 4, 1))) in pairs
+
+
+def _never_called(p):
+    raise AssertionError(f"member called on {p} before the bound check")
+
+
+@pytest.mark.parametrize("sweep", [downward_closure_violations, minimal_non_members])
+class TestSweepBound:
+    """Both sweeps check the census bound before generating any word."""
+
+    def test_beyond_the_bound(self, sweep, monkeypatch):
+        monkeypatch.delenv("CAYLEYSORT_MAX_N", raising=False)
+        with pytest.raises(ResourceLimitError, match="CAYLEYSORT_MAX_N"):
+            sweep(_never_called, 9)
+
+    def test_negative_length(self, sweep):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep(_never_called, -1)
+
+    def test_member_runs_once_per_word(self, sweep):
+        calls = []
+
+        def member(p):
+            calls.append(p)
+            return not contains(p, (2, 3, 1))
+
+        sweep(member, 4)
+        assert len(calls) == len(set(calls)) == sum(1 for _ in words_up_to(4))
 
 
 class TestMinimalNonMembers:

@@ -1,6 +1,7 @@
 """Restricted stacks, the two-stack machine, pop-stacks, fertility."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleysort import (
     FLUSH_ALL,
@@ -18,6 +19,7 @@ from cayleysort import (
     is_sigma_sortable,
     is_weakly_increasing,
     machine_output,
+    normalize,
     reverse,
     run_popstack,
     run_stack,
@@ -27,7 +29,7 @@ from cayleysort import (
 from cayleysort.census import sigma_panel
 from cayleysort.core import _iter_letters
 from cayleysort.stack import _POPSTACK_PATTERNS, _outputs, _run_word
-from conftest import SIGMA_PANEL16, universe, words_up_to
+from conftest import SIGMA_PANEL16, random_words, universe, words_up_to
 from reference import naive_machine
 
 
@@ -114,6 +116,13 @@ class TestAgainstNaiveSimulator:
             out, events, _ = naive_machine(p, patterns, flush_all=True)
             assert trace.output == out
             assert trace.events == events
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_words(2, 5, 6).map(normalize), random_words(0, 12, 7))
+    def test_random_sigma_and_word(self, sigma, word):
+        events = []
+        out = _run_word(tuple(word), (tuple(sigma),), False, events)
+        assert (out, tuple(events)) == naive_machine(word, [sigma])[:2]
 
 
 def _per_word_outputs(n, sigmas, flush_all):
