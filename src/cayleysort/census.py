@@ -10,7 +10,6 @@ formulas, and non-closure witnesses.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import pairwise
 import time
@@ -23,6 +22,8 @@ from .core import (
     CayleyPerm,
     Word,
     _check_limit,
+    _children,
+    _completions,
     _iter_letters,
     _wrap,
     census_limit,
@@ -157,40 +158,24 @@ class SequenceReport:
         return "\n".join(f"{n} {self.counts[n]}" for n in sorted(self.counts))
 
 
-@functools.cache
-def _completions(left: int, top: int, missing: int) -> int:
-    """Number of ways to append `left` letters to a prefix whose maximum is
-    `top` with `missing` values below it unused, ending in a Cayley
-    permutation."""
-    if missing > left:
-        return 0
-    if left == 0:
-        return 1
-    total = (top - missing) * _completions(left - 1, top, missing)
-    if missing:
-        total += missing * _completions(left - 1, top, missing - 1)
-    for v in range(top + 1, top + 1 + left - missing):
-        total += _completions(left - 1, v, missing + v - top - 1)
-    return total
-
-
 def _walk(n: int, first: int, sigmas: tuple[Word, ...], flush_all: bool):
     """Walk the prefix tree of the length-n Cayley permutations that start
     with `first`, running the machine's first stack one letter per edge.
 
-    Letters are tried as `_iter_letters` tries them.  Each node also carries
-    the stack content and the state of the sortability test of the letters
-    popped so far: for a sigma-stack (single pops) the 231 state of
-    `_avoids_231`, for a pop-stack (`flush_all`) the last output letter.
-    Popped letters are final, so once they fail the test no completion is
-    sortable, and the subtree is counted by `_completions` unvisited.  At a
-    leaf the stack is flushed through the same test.
+    The tree is read off the `_children` table, so letters are tried as
+    `_iter_letters` tries them; the root edge is the `first` child of the
+    empty prefix.  Each node also carries the stack content and the state
+    of the sortability test of the letters popped so far: for a sigma-stack
+    (single pops) the 231 state of `_avoids_231`, for a pop-stack
+    (`flush_all`) the last output letter.  Popped letters are final, so
+    once they fail the test no completion is sortable, and the subtree is
+    counted by `_completions` unvisited.  At a leaf the stack is flushed
+    through the same test.
 
     Returns (visited, pruned, by_blocks): the leaves reached, the words
     counted in closed form, and the sortable words keyed by their number of
     maximal strictly decreasing blocks (the tortoise refinement).
     """
-    counts = [0] * (n + 2)
     by_blocks: dict[int, int] = {}
     visited = pruned = 0
 
@@ -213,40 +198,27 @@ def _walk(n: int, first: int, sigmas: tuple[Word, ...], flush_all: bool):
                 break
         return low, above
 
-    def descend(pos, top, missing, stack, low, above, prev, blocks):
+    def descend(left, children, stack, low, above, prev, blocks):
+        """Visit `children`, the nodes with `left - 1` letters to come."""
         nonlocal visited, pruned
-        left = n - pos - 1
-        if pos:
-            letters = range(1, min(n, top + 1 + left - missing) + 1)
-        else:
-            letters = (first,)
-        for v in letters:
-            if v > top:
-                v_top, v_missing = v, missing + v - top - 1
-            else:
-                v_top, v_missing = top, missing - (counts[v] == 0)
-            if v_missing > left:
-                continue
+        for v, top, unused in children:
             st = stack[:]
             state = low, above
             if st and _creates_occurrence(st, v, sigmas):
                 state = drain(st, v, low, above)
                 if state is None:
-                    pruned += _completions(left, v_top, v_missing)
+                    pruned += _completions(left - 1, top, unused)
                     continue
             st.append(v)
             k = blocks + (prev <= v)
-            if left:
-                counts[v] += 1
-                descend(pos + 1, v_top, v_missing, st, *state, v, k)
-                counts[v] -= 1
+            if left > 1:
+                descend(left - 1, _children(left - 1, top, unused), st, *state, v, k)
             else:
                 visited += 1
                 if drain(st, None, *state) is not None:
                     by_blocks[k] = by_blocks.get(k, 0) + 1
 
-    if 1 <= first <= n:
-        descend(0, 0, 0, [], 0, [], 0, 0)
+    descend(n, [c for c in _children(n, 0, 0) if c[0] == first], [], 0, [], 0, 0)
     return visited, pruned, by_blocks
 
 

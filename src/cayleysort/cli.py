@@ -290,11 +290,16 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
         return True, [f"refined counts match the binomial formula for lengths <= {n}"]
     if target == "sort11-equinum":
         ok = census.sort11_equinumerosity(n)
-        return ok, [f"checked equinumerosity and the constructive map for lengths <= {n}"]
+        lines = [f"checked equinumerosity and the constructive map for lengths <= {n}"]
+        if ok:
+            lines.append(_words_checked(n))
+        return ok, lines
     if target == "fubini":
         ok = census.verify_fubini(n)
-        counts = fubini_numbers(n)[1:]
-        return ok, ["counts: " + " ".join(map(str, counts))]
+        lines = ["counts: " + " ".join(map(str, fubini_numbers(n)[1:]))]
+        if ok:
+            lines.append(_words_checked(n))
+        return ok, lines
     raise ValueError(f"unknown verify target {target!r}")
 
 

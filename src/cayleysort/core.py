@@ -12,6 +12,7 @@ letter swap, lexicographic generation, and the sortedness test.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Iterable, Iterator
@@ -177,61 +178,81 @@ def generate_all(n: int, prefix: Word = ()) -> Iterator[CayleyPerm]:
     """All Cayley permutations of length n, lexicographically.
 
     Streams; never materializes the universe.  `prefix` restricts to the
-    permutations starting with those letters (used to shard sweeps).
-    Guards are checked eagerly, before the first element is drawn.
+    permutations starting with those letters (used to shard sweeps); a
+    prefix no length-n Cayley permutation starts with yields nothing.
+    Guards are checked eagerly, before the first element is drawn: the
+    length bound, and that every prefix letter is an int.
     """
     _check_limit(n, generation_limit(), "generation")
+    for v in prefix:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"prefix letter {v!r} is not an integer")
     return (_wrap(letters) for letters in _iter_letters(n, prefix))
+
+
+@functools.cache
+def _children(left: int, top: int, unused: int) -> tuple[tuple[int, int, int], ...]:
+    """The letter rule of the prefix tree of Cayley permutations.
+
+    A node is a prefix with `left` letters still to come, maximum `top`,
+    and `unused` the bitmask (bit v for value v) of the values below `top`
+    it has not used.  Returns (v, top', unused') for every letter v that
+    some completion puts next, in increasing order: v may be any used
+    value, an unused one, or a new maximum, as long as the values left
+    unused still fit in the `left - 1` letters after it.  This also keeps
+    every letter within the length, so the table serves every length.
+    """
+    kids = []
+    for v in range(1, top + left + 1):
+        if v > top:
+            child = v, v, unused | ((1 << v) - (2 << top))
+        else:
+            child = v, top, unused & ~(1 << v)
+        if child[2].bit_count() < left:
+            kids.append(child)
+    return tuple(kids)
+
+
+@functools.cache
+def _completions(left: int, top: int, unused: int) -> int:
+    """Number of leaves below a node of `_children`: the ways to complete
+    its prefix with `left` more letters to a Cayley permutation."""
+    if left == 0:
+        return 1
+    return sum(_completions(left - 1, t, u) for _, t, u in _children(left, top, unused))
 
 
 def _iter_letters(n: int, prefix: Word = ()) -> Iterator[Word]:
     """Raw-tuple generator behind `generate_all` (no guard, no wrapping).
 
-    Recursive descent over the open positions, trying letters in increasing
-    order: `top` is the maximum so far and `missing` the number of values
-    below it not yet used, and a letter is skipped when more values would be
-    missing than positions are left.  Yields in lexicographic order, nothing
-    for a prefix no length-n Cayley permutation starts with.
+    Replays `prefix` down the `_children` table from the root, then walks
+    the subtree below it depth first, children in increasing order.  Yields
+    in lexicographic order, nothing for a prefix no length-n Cayley
+    permutation starts with.
     """
-    word = list(prefix)
-    if len(word) > n:
-        return
-    counts = [0] * (n + 2)
-    top = missing = 0
-    for v in word:
-        if v < 1 or v > n:
+    node = n, 0, 0
+    for letter in prefix:
+        for v, top, unused in _children(*node):
+            if v == letter:
+                node = node[0] - 1, top, unused
+                break
+        else:
             return
-        if v > top:
-            missing += v - top - 1
-            top = v
-        elif counts[v] == 0:
-            missing -= 1
-        counts[v] += 1
-    if missing > n - len(word):
-        return
-    if len(word) == n:
-        yield tuple(word)
-        return
+    word = list(prefix)
 
-    def descend(top: int, missing: int) -> Iterator[Word]:
-        left = n - len(word) - 1
-        for v in range(1, min(n, top + 1 + left - missing) + 1):
-            if v > top:
-                v_top, v_missing = v, missing + v - top - 1
-            else:
-                v_top, v_missing = top, missing - (counts[v] == 0)
-            if v_missing > left:
-                continue
+    def descend(left, top, unused):
+        for v, t, u in _children(left, top, unused):
             word.append(v)
-            if left:
-                counts[v] += 1
-                yield from descend(v_top, v_missing)
-                counts[v] -= 1
+            if left > 1:
+                yield from descend(left - 1, t, u)
             else:
                 yield tuple(word)
             word.pop()
 
-    yield from descend(top, missing)
+    if node[0]:
+        yield from descend(*node)
+    else:
+        yield tuple(word)
 
 
 def fubini_numbers(n_max: int) -> list[int]:

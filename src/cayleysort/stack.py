@@ -22,6 +22,7 @@ from .core import (
     CayleyPerm,
     Word,
     _check_limit,
+    _children,
     _wrap,
     census_limit,
     is_weakly_increasing,
@@ -169,28 +170,20 @@ def _outputs(
     """Yield (w, output of the machine on w) for every length-n Cayley
     permutation w, in `_iter_letters` order.
 
-    Walks the prefix tree as the census walk does, pushing one letter per
-    tree edge instead of rerunning the stack on every word.  A node holds
-    the stack content and the letters popped so far, which no later letter
-    changes; a child shares both lists with its parent unless its letter
-    forces pops, and copies them then.  At a leaf the stack is flushed.
-    `_run_word` stays the per-word oracle.
+    Walks the prefix tree down the `_children` table, pushing one letter
+    per tree edge instead of rerunning the stack on every word.  A node
+    holds the stack content and the letters popped so far, which no later
+    letter changes; a child shares both lists with its parent unless its
+    letter forces pops, and copies them then.  At a leaf the stack is
+    flushed.  `_run_word` stays the per-word oracle.
     """
     if n == 0:
         yield (), ()
         return
-    counts = [0] * (n + 2)
     word: list[int] = []
 
-    def descend(top, missing, stack, out):
-        left = n - len(word) - 1
-        for v in range(1, min(n, top + 1 + left - missing) + 1):
-            if v > top:
-                v_top, v_missing = v, missing + v - top - 1
-            else:
-                v_top, v_missing = top, missing - (counts[v] == 0)
-            if v_missing > left:
-                continue
+    def descend(left, top, unused, stack, out):
+        for v, t, u in _children(left, top, unused):
             st, o = stack, out
             if st and _creates_occurrence(st, v, sigmas):
                 if flush_all:
@@ -203,16 +196,14 @@ def _outputs(
                             break
             st.append(v)
             word.append(v)
-            if left:
-                counts[v] += 1
-                yield from descend(v_top, v_missing, st, o)
-                counts[v] -= 1
+            if left > 1:
+                yield from descend(left - 1, t, u, st, o)
             else:
                 yield tuple(word), tuple(o + st[::-1])
             word.pop()
             st.pop()
 
-    yield from descend(0, 0, [], [])
+    yield from descend(n, 0, 0, [], [])
 
 
 def _avoids_231(word: Sequence[int]) -> bool:

@@ -223,6 +223,42 @@ class TestVerify:
         assert out.splitlines()[-2:] == ["counterexample: 1 2 3", "FAIL"]
         assert "words checked" not in out
 
+    @pytest.mark.parametrize(
+        "target, first",
+        [
+            ("sort11-equinum", "checked equinumerosity and the constructive map for lengths <= 4"),
+            ("fubini", "counts: 1 3 13 75"),
+        ],
+        ids=["sort11-equinum", "fubini"],
+    )
+    def test_full_sweep_reports_words_checked(self, capsys, target, first):
+        code, out, _ = run(capsys, "verify", target, "--n", "4")
+        assert code == 0
+        assert out.splitlines() == [first, "words checked: 93", "PASS"]
+
+    def test_sort11_fail_claims_no_word_count(self, capsys, monkeypatch):
+        real = census._outputs
+
+        def corrupted(n, sigmas, flush_all):
+            for w, out in real(n, sigmas, flush_all):
+                yield w, ((2, 3, 1) if w == (1, 2, 3) else out)
+
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        code, out, _ = run(capsys, "verify", "sort11-equinum", "--n", "4")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+        assert "words checked" not in out
+
+    def test_fubini_fail_claims_no_word_count(self, capsys, monkeypatch):
+        real = census._iter_letters
+        monkeypatch.setattr(
+            census, "_iter_letters", lambda n: (w for w in real(n) if w != (1, 2, 3))
+        )
+        code, out, _ = run(capsys, "verify", "fubini", "--n", "4")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+        assert "words checked" not in out
+
     def test_involution_fail_claims_no_word_count(self, capsys):
         _, out, _ = run(capsys, "verify", "involution", "--sigma", "2 1", "--n", "3")
         assert "words checked" not in out

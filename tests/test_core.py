@@ -1,5 +1,7 @@
 """Value type, normalization, generation, counting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,8 @@ from cayleysort import (
     normalize,
     reverse,
 )
+from cayleysort.core import _children, _completions, _iter_letters
+from conftest import universe
 from reference import fubini_via_stirling
 
 # Fubini numbers a(0)..a(8); a(n) counts the Cayley permutations of length n.
@@ -158,6 +162,15 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_all(-1)
 
+    @pytest.mark.parametrize("letter", [True, False, 1.5, 1.0, "1", None])
+    def test_non_integer_prefix_letter_rejected_eagerly(self, letter):
+        with pytest.raises(ValueError, match=repr(letter)):
+            generate_all(3, prefix=(1, letter))  # no next() needed
+
+    @pytest.mark.parametrize("prefix", [(0,), (-1,), (4,), (1, 3, 3), (2, 2, 2), (1, 1, 1, 1)])
+    def test_out_of_range_prefix_yields_nothing(self, prefix):
+        assert list(generate_all(3, prefix)) == []
+
     def test_resource_guard_fires_eagerly(self):
         with pytest.raises(ResourceLimitError):
             generate_all(generation_limit() + 1)  # no next() needed
@@ -182,6 +195,43 @@ class TestGeneration:
         monkeypatch.delenv(LIMIT_ENV_VAR, raising=False)
         assert generation_limit() == 12
         assert census_limit() == 8
+
+
+def _node(n, prefix):
+    """The `_children` node of a prefix, computed from its letters."""
+    top = max(prefix, default=0)
+    unused = sum(1 << v for v in range(1, top) if v not in prefix)
+    return n - len(prefix), top, unused
+
+
+class TestPrefixTree:
+    """The `_children` table and the walks built on it, against the words
+    of the universe."""
+
+    def test_prefix_replay_matches_the_universe(self):
+        for n in range(7):
+            for k in range(4):
+                for prefix in itertools.product(range(-1, n + 2), repeat=k):
+                    expected = [w for w in universe(n) if w[:k] == prefix]
+                    assert list(_iter_letters(n, prefix)) == expected, (n, prefix)
+
+    def test_completions_count_the_universe(self):
+        assert [_completions(n, 0, 0) for n in range(13)] == fubini_numbers(12)
+
+    def test_children_are_the_next_letters(self):
+        for n in range(7):
+            below: dict[tuple, set] = {}
+            words_below: dict[tuple, int] = {}
+            for w in universe(n):
+                for k in range(n + 1):
+                    kids = below.setdefault(_node(n, w[:k]), set())
+                    if k < n:
+                        kids.add((w[k],) + _node(n, w[: k + 1])[1:])
+                    words_below[w[:k]] = words_below.get(w[:k], 0) + 1
+            for node, kids in below.items():
+                assert _children(*node) == tuple(sorted(kids)), node
+            for prefix, count in words_below.items():
+                assert _completions(*_node(n, prefix)) == count, prefix
 
 
 class TestFubini:

@@ -124,6 +124,17 @@ class TestAgainstNaiveSimulator:
         out = _run_word(tuple(word), (tuple(sigma),), False, events)
         assert (out, tuple(events)) == naive_machine(word, [sigma])[:2]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(random_words(2, 4, 4).map(normalize), min_size=2, max_size=3, unique=True),
+        st.sampled_from([SINGLE, FLUSH_ALL]),
+        random_words(0, 12, 7).map(normalize),
+    )
+    def test_random_multi_pattern_config(self, patterns, pop_mode, word):
+        trace = run_stack(word, StackConfig(set(patterns), pop_mode=pop_mode))
+        out, events, _ = naive_machine(word, patterns, flush_all=pop_mode == FLUSH_ALL)
+        assert (trace.output, trace.events) == (out, events)
+
 
 def _per_word_outputs(n, sigmas, flush_all):
     return [(w, _run_word(w, sigmas, flush_all)) for w in _iter_letters(n)]
