@@ -310,7 +310,9 @@ class ClassVerdict:
 
     For a predicted class, `predicted_basis` is the reduced basis and
     `equality_holds` reports the exhaustive sweep (False until verify_class
-    has run), which covered the lengths up to `checked_to_length`.  For a
+    has run), which covered the lengths up to `checked_to_length`, and
+    `counterexample` is the first input on which it found sortability and
+    avoidance to disagree (None when they agree everywhere).  For a
     predicted non-class, `witness` is a validated pair (alpha, beta): beta
     sortable, alpha a pattern of beta, alpha not sortable — which no
     containment-closed set allows.  Nothing is swept then, so
@@ -323,6 +325,7 @@ class ClassVerdict:
     checked_to_length: int
     equality_holds: bool
     witness: tuple[CayleyPerm, CayleyPerm] | None
+    counterexample: CayleyPerm | None = None
 
 
 #: Reference witness pairs for the smallest non-class machines.  The row for
@@ -461,7 +464,8 @@ def verify_class(sigma, n_max: int) -> ClassVerdict:
     """Run the exhaustive check behind classify_sigma up to length n_max.
 
     Predicted classes are compared set-for-set against their avoidance
-    description on every length (`class_violations`); predicted non-classes
+    description on every length (`class_violations`), in one sweep that
+    stops at the first counterexample; predicted non-classes
     succeed when the witness pair validates (witness_non_class already
     guarantees it), and report checked_to_length = 0 because no length is
     swept.
@@ -472,8 +476,10 @@ def verify_class(sigma, n_max: int) -> ClassVerdict:
         alpha, beta = verdict.witness
         ok = _witness_valid(tuple(verdict.sigma), tuple(alpha), tuple(beta))
         return replace(verdict, equality_holds=ok)
-    ok = next(class_violations(verdict.sigma, n_max), None) is None
-    return replace(verdict, checked_to_length=n_max, equality_holds=ok)
+    bad = next(class_violations(verdict.sigma, n_max), None)
+    return replace(
+        verdict, checked_to_length=n_max, equality_holds=bad is None, counterexample=bad
+    )
 
 
 def sigma_panel() -> list[CayleyPerm]:
@@ -625,11 +631,12 @@ def verify_tortoise_refined(n_max: int) -> bool:
     return True
 
 
+def generation_counts(n_max: int) -> list[int]:
+    """The number of words generation yields at each length 0..n_max."""
+    _check_limit(n_max, census_limit(), "census")
+    return [sum(1 for _ in _iter_letters(n)) for n in range(n_max + 1)]
+
+
 def verify_fubini(n_max: int) -> bool:
     """Generation agrees with the ordered-set-partition recurrence."""
-    _check_limit(n_max, census_limit(), "census")
-    expected = fubini_numbers(n_max)
-    for n in range(n_max + 1):
-        if sum(1 for _ in _iter_letters(n)) != expected[n]:
-            return False
-    return True
+    return generation_counts(n_max) == fubini_numbers(n_max)

@@ -240,7 +240,7 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
             if verdict.equality_holds:
                 lines.append(_words_checked(n))
             else:
-                lines.append(f"counterexample: {next(census.class_violations(sigma, n))}")
+                lines.append(f"counterexample: {verdict.counterexample}")
         else:
             alpha, beta = verdict.witness
             lines.append("predicted: not a class")
@@ -262,13 +262,10 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
         return ok, lines
     if target == "involution":
         sigma = _require_sigma(args)
-        ok = census.verify_involution(sigma, n)
+        bad = next(census.involution_violations(sigma, n), None)
         lines = [f"sigma: {sigma}", f"checked lengths <= {n}"]
-        if ok:
-            lines.append(_words_checked(n))
-        else:
-            lines.append(f"counterexample: {next(census.involution_violations(sigma, n))}")
-        return ok, lines
+        lines.append(_words_checked(n) if bad is None else f"counterexample: {bad}")
+        return bad is None, lines
     if target in ("popstack-hare", "popstack-tortoise"):
         mode = target.split("-")[1]
         bad = next(census.popstack_violations(mode, n), None)
@@ -295,11 +292,14 @@ def _run_verify(args, n: int) -> tuple[bool, list[str]]:
             lines.append(_words_checked(n))
         return ok, lines
     if target == "fubini":
-        ok = census.verify_fubini(n)
-        lines = ["counts: " + " ".join(map(str, fubini_numbers(n)[1:]))]
-        if ok:
+        counts = census.generation_counts(n)
+        expected = fubini_numbers(n)
+        lines = ["counts: " + " ".join(map(str, counts[1:]))]
+        if counts == expected:
             lines.append(_words_checked(n))
-        return ok, lines
+        else:
+            lines.append("expected: " + " ".join(map(str, expected[1:])))
+        return counts == expected, lines
     raise ValueError(f"unknown verify target {target!r}")
 
 

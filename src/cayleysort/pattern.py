@@ -15,7 +15,15 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .core import CayleyPerm, Word, _check_limit, census_limit, generate_all, normalize
+from .core import (
+    CayleyPerm,
+    Word,
+    _check_limit,
+    _wrap,
+    census_limit,
+    generate_all,
+    normalize,
+)
 
 
 def _extend(
@@ -231,12 +239,37 @@ def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
 Member = Callable[[CayleyPerm], bool]
 
 
+def _deletions(p: Sequence[int]) -> set[CayleyPerm]:
+    """The distinct normalized one-point deletions of a Cayley permutation.
+
+    Deleting a letter whose value occurs again leaves a Cayley permutation
+    as it is; deleting the last copy of v leaves a gap at v, closed by
+    lowering every letter above v by one.  So each deletion costs O(n) and
+    needs neither `normalize` nor validation.  A run of equal letters gives
+    one deletion, so only the first letter of each run is deleted.
+    """
+    out: set[CayleyPerm] = set()
+    prev = None
+    for i, v in enumerate(p):
+        if v == prev:
+            continue
+        prev = v
+        rest = p[:i] + p[i + 1 :]
+        if v not in rest:
+            rest = tuple(x - (x > v) for x in rest)
+        out.add(_wrap(tuple(rest)))
+    return out
+
+
 def _memoised(member: Member) -> Member:
     """member, run at most once per distinct word.
 
     A plain dict of verdicts: `functools.cache` would also keep a one-tuple
     key per word, which at n_max = 7 raised the peak memory of a basis
-    sweep by about 2 MB.
+    sweep by about 2 MB.  The sweeps below check every word in generation
+    order, shortest first, so when they reach a word of length n every
+    word shorter than n already has its verdict, and the checks they make
+    on one-point deletions and patterns are dictionary lookups.
     """
     verdict: dict[CayleyPerm, bool] = {}
 
@@ -249,6 +282,9 @@ def _memoised(member: Member) -> Member:
     return check
 
 
+_NO_PATTERNS: frozenset[CayleyPerm] = frozenset()
+
+
 def downward_closure_violations(
     member: Member, n_max: int
 ) -> list[tuple[CayleyPerm, CayleyPerm]]:
@@ -258,17 +294,46 @@ def downward_closure_violations(
     Empty exactly when the member set is closed under pattern containment
     up to that length.  Sorted by (|beta|, beta, |alpha|, alpha).  n_max
     is bounded by `census_limit`, and member runs once per distinct word.
+
+    The proper patterns of a word w are its one-point deletions d together
+    with the proper patterns of each d, so its set of non-member proper
+    patterns is, over d in `_deletions(w)`, the union of d itself when
+    member rejects d and the non-member proper patterns of d.  This holds
+    whether or not the member set is closed, so the result is exact.  The
+    sets are memoised: for every member, whose patterns the sweep lists
+    (a member's set is ready before any longer word asks for it), and on
+    demand for the non-members that some member's patterns pass through;
+    the sets of the last length are not kept.  Nothing enumerates index
+    subsets.
     """
     _check_limit(n_max, census_limit(), "closure sweep")
     violations: list[tuple[CayleyPerm, CayleyPerm]] = []
     check = _memoised(member)
+    below: dict[CayleyPerm, frozenset[CayleyPerm]] = {}
+
+    def collect(w: CayleyPerm) -> set[CayleyPerm]:
+        """The proper patterns of w that member rejects."""
+        acc: set[CayleyPerm] = set()
+        for d in _deletions(w):
+            if not check(d):
+                acc.add(d)
+            acc |= non_members(d)
+        return acc
+
+    def non_members(w: CayleyPerm) -> frozenset[CayleyPerm]:
+        """collect(w), memoised; the many words with none share one set."""
+        got = below.get(w)
+        if got is None:
+            acc = collect(w)
+            got = below[w] = frozenset(acc) if acc else _NO_PATTERNS
+        return got
+
     for n in range(n_max + 1):
+        # no longer word asks for the sets of the last length: keep none
+        patterns = collect if n == n_max else non_members
         for beta in generate_all(n):
-            if not check(beta):
-                continue
-            for alpha in sorted(subpatterns(beta), key=lambda q: (len(q), q)):
-                if not check(alpha):
-                    violations.append((beta, alpha))
+            if check(beta):
+                violations.extend((beta, alpha) for alpha in patterns(beta))
     violations.sort(key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
     return violations
 
@@ -281,13 +346,21 @@ def minimal_non_members(member: Member, n_max: int) -> list[CayleyPerm]:
     basis restricted to lengths <= n_max.  Sorted by length, then
     lexicographically.  n_max is bounded by `census_limit`, and member runs
     once per distinct word.
+
+    Every one-point deletion is a proper pattern, so a rejected word is a
+    candidate only when member accepts all of its `_deletions`; for a
+    closed set that already decides it.  A set that is not closed can
+    accept the deletions and still reject a shorter pattern, so each
+    candidate is confirmed on all of its proper patterns (`subpatterns`)
+    before it is kept.  The result is exact either way, and only the few
+    candidates pay for the 2^n subsets.
     """
     _check_limit(n_max, census_limit(), "basis sweep")
     minimal: list[CayleyPerm] = []
     check = _memoised(member)
     for n in range(n_max + 1):
         for p in generate_all(n):
-            if check(p):
+            if check(p) or not all(check(d) for d in _deletions(p)):
                 continue
             if all(check(q) for q in subpatterns(p)):
                 minimal.append(p)

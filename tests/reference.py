@@ -5,9 +5,14 @@ every index subset, and the machine simulator re-tests the *entire* stack
 content against every forbidden pattern before each push, exactly as the
 machine is defined.  The library is allowed to be clever (it only matches
 the incoming letter against the first pattern letter); this module is not.
+Likewise the basis and closure sweeps here list the patterns of every word
+by `subpatterns`, all 2^n index subsets, where the library steps down by
+one-point deletions.
 """
 
 from itertools import combinations
+
+from cayleysort import generate_all, subpatterns
 
 
 def order_isomorphic(a, b):
@@ -140,3 +145,31 @@ def brute_contains_mesh(text, mp):
         if not gap_hit and not eq_hit:
             return True
     return False
+
+
+def brute_downward_closure_violations(member, n_max):
+    """Closure sweep by its definition: every member beta of length
+    <= n_max paired with every proper pattern alpha of it that member
+    rejects, the patterns listed by `subpatterns` (all 2^n index subsets).
+    Sorted by (|beta|, beta, |alpha|, alpha)."""
+    pairs = [
+        (beta, alpha)
+        for n in range(n_max + 1)
+        for beta in generate_all(n)
+        if member(beta)
+        for alpha in subpatterns(beta)
+        if not member(alpha)
+    ]
+    return sorted(pairs, key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
+
+
+def brute_minimal_non_members(member, n_max):
+    """Basis sweep by its definition: the words of length <= n_max that
+    member rejects while accepting every proper pattern (by `subpatterns`).
+    Sorted by length, then lexicographically."""
+    return [
+        p
+        for n in range(n_max + 1)
+        for p in generate_all(n)
+        if not member(p) and all(member(q) for q in subpatterns(p))
+    ]

@@ -249,6 +249,19 @@ class TestVerifyClass:
     def test_ascent_machine_class_sweep(self):
         assert verify_class((1, 2), 7).equality_holds
 
+    def test_verdict_carries_the_first_counterexample(self, monkeypatch):
+        assert verify_class((3, 2, 1), 5).counterexample is None
+        real = census._outputs
+
+        def corrupted(n, sigmas, flush_all):
+            for w, out in real(n, sigmas, flush_all):
+                yield w, (w if w in ((1, 2, 3), (1, 2, 3, 4)) else out)
+
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        verdict = verify_class((3, 2, 1), 5)
+        assert not verdict.equality_holds
+        assert verdict.counterexample == (1, 2, 3)
+
     def test_non_class_revalidates_witness(self):
         verdict = verify_class((1, 1), 5)
         assert not verdict.predicted_is_class

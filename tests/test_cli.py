@@ -259,6 +259,41 @@ class TestVerify:
         assert out.splitlines()[-1] == "FAIL"
         assert "words checked" not in out
 
+    def test_fubini_fail_names_the_failing_length(self, capsys, monkeypatch):
+        real = census._iter_letters
+        monkeypatch.setattr(
+            census, "_iter_letters", lambda n: (w for w in real(n) if w != (1, 2, 3))
+        )
+        code, out, _ = run(capsys, "verify", "fubini", "--n", "4")
+        assert code == 1
+        assert out.splitlines() == ["counts: 1 3 12 75", "expected: 1 3 13 75", "FAIL"]
+
+    @pytest.mark.parametrize(
+        "argv, corrupt",
+        [
+            (("class", "--sigma", "3 2 1"), (1, 2, 3)),
+            (("involution", "--sigma", "1 1"), (2, 3, 1)),
+        ],
+        ids=["class", "involution"],
+    )
+    def test_failing_sweep_runs_once(self, capsys, monkeypatch, argv, corrupt):
+        # the verdict and the counterexample come from one sweep, which
+        # stops in length 3: one output sweep for each length 0..3
+        real = census._outputs
+        lengths = []
+
+        def corrupted(n, sigmas, flush_all):
+            lengths.append(n)
+            for w, out in real(n, sigmas, flush_all):
+                yield w, (corrupt if w == (1, 2, 3) else out)
+
+        monkeypatch.setattr(census, "_outputs", corrupted)
+        code, out, _ = run(capsys, "verify", *argv, "--n", "4")
+        assert code == 1
+        assert out.splitlines()[-2].startswith("counterexample: ")
+        assert out.splitlines()[-1] == "FAIL"
+        assert lengths == [0, 1, 2, 3]
+
     def test_involution_fail_claims_no_word_count(self, capsys):
         _, out, _ = run(capsys, "verify", "involution", "--sigma", "2 1", "--n", "3")
         assert "words checked" not in out

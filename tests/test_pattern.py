@@ -1,6 +1,7 @@
 """Containment, occurrences, mesh patterns, closure utilities."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cayleysort import (
     contains,
     contains_mesh,
     downward_closure_violations,
+    is_popstack_sortable,
     is_sigma_sortable,
     is_weakly_increasing,
     minimal_non_members,
@@ -23,8 +25,15 @@ from cayleysort import (
     occurrences,
     subpatterns,
 )
+from cayleysort.pattern import _deletions
 from conftest import random_words, universe, words_up_to
-from reference import brute_contains, brute_contains_mesh, brute_occurrences
+from reference import (
+    brute_contains,
+    brute_contains_mesh,
+    brute_downward_closure_violations,
+    brute_minimal_non_members,
+    brute_occurrences,
+)
 
 #: Random words up to length 12 (not necessarily Cayley permutations) and
 #: random patterns up to length 5, for the differential tests.
@@ -269,3 +278,65 @@ class TestMinimalNonMembers:
             lambda p: is_popstack_sortable(p, "tortoise"), 4
         )
         assert tortoise == [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 2)]
+
+
+class TestDeletions:
+    def test_examples(self):
+        # a repeated value stays, the last copy of a value closes its gap
+        assert _deletions((2, 1, 2)) == {(1, 2), (1, 1), (2, 1)}
+        assert _deletions((1, 1, 1)) == {(1, 1)}
+        assert _deletions((1,)) == {()}
+        assert _deletions(()) == set()
+
+    def test_are_the_normalized_one_point_deletions(self):
+        for p in words_up_to(7):
+            expected = {normalize(p[:i] + p[i + 1 :]) for i in range(len(p))}
+            got = _deletions(p)
+            assert got == expected, p
+            assert all(isinstance(d, CayleyPerm) for d in got)
+
+    def test_iterated_deletions_are_the_subpatterns(self):
+        # the proper patterns of p are its deletions and their patterns
+        below = {}
+        for p in words_up_to(6):
+            below[p] = set().union(*({d} | below[d] for d in _deletions(p)))
+            assert below[p] == subpatterns(p), p
+
+
+def _random_member(seed, accept):
+    """A fixed pseudo-random member set, not closed under containment."""
+
+    def member(p):
+        return random.Random(f"{seed}/{p}").random() < accept
+
+    return member
+
+
+_SWEEP_MEMBERS = [
+    *(
+        pytest.param(lambda p, s=sigma: is_sigma_sortable(p, s), id=f"sigma-{name}")
+        for name, sigma in [("11", (1, 1)), ("21", (2, 1)), ("231", (2, 3, 1)), ("321", (3, 2, 1))]
+    ),
+    pytest.param(lambda p: is_popstack_sortable(p, "hare"), id="hare"),
+    pytest.param(lambda p: is_popstack_sortable(p, "tortoise"), id="tortoise"),
+    pytest.param(lambda p: not contains(p, (2, 3, 1)), id="avoid-231"),
+    *(
+        pytest.param(_random_member(seed, accept), id=f"random-{seed}-{accept}")
+        for seed, accept in [(1, 0.5), (2, 0.8), (3, 0.9), (4, 0.95), (5, 0.97)]
+    ),
+]
+
+
+@pytest.mark.parametrize("member", _SWEEP_MEMBERS)
+class TestDeletionSweepsAgainstOracles:
+    """The deletion sweeps equal the subset-based sweeps, also on member
+    sets that are not closed (the random ones), where the basis sweep needs
+    its subpattern confirmation and the closure sweep its on-demand sets
+    of non-members."""
+
+    def test_minimal_non_members(self, member):
+        assert minimal_non_members(member, 5) == brute_minimal_non_members(member, 5)
+
+    def test_downward_closure_violations(self, member):
+        got = downward_closure_violations(member, 5)
+        assert got == brute_downward_closure_violations(member, 5)
