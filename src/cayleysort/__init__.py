@@ -35,6 +35,7 @@ from .stack import (
     FLUSH_ALL,
     HARE,
     SINGLE,
+    Machine,
     TORTOISE,
     SortTrace,
     StackConfig,

@@ -30,11 +30,12 @@ from .core import (
     fubini_numbers,
     generate_all,
     hat,
-    is_weakly_increasing,
 )
 from .pattern import MESH_Z, contains, contains_mesh, subpatterns
 from .stack import (
-    _POPSTACK_PATTERNS,
+    HARE,
+    TORTOISE,
+    Machine,
     _avoids_231,
     _creates_occurrence,
     _outputs,
@@ -42,10 +43,11 @@ from .stack import (
     _sigma_letters,
 )
 
-# Not called here (the census walk counts blocks itself, and the law sweeps
-# reverse tuples by slicing); kept because perfbench/tracer.py wraps
-# census.tortoise_blocks and census.reverse by name.
-from .core import reverse  # noqa: F401
+# Not called here (the census walk counts blocks itself, the law sweeps
+# reverse tuples by slicing, and `Machine.accepts` tests the outputs); kept
+# because perfbench/tracer.py wraps census.tortoise_blocks, census.reverse
+# and census.is_weakly_increasing by name.
+from .core import is_weakly_increasing, reverse  # noqa: F401
 from .stack import tortoise_blocks  # noqa: F401
 
 _P132 = (1, 3, 2)
@@ -54,6 +56,8 @@ _P2341 = (2, 3, 4, 1)
 #: Avoidance characterizations of the pop-stack-sortable sets.
 HARE_BASIS = ((2, 3, 1), (3, 1, 2), (2, 1, 2, 1))
 TORTOISE_BASIS = ((2, 3, 1), (3, 1, 2), (2, 2, 1), (2, 1, 1))
+_POPSTACK_BASES = {HARE: HARE_BASIS, TORTOISE: TORTOISE_BASIS}
+_TORTOISE = Machine.popstack(TORTOISE)
 
 
 class VerificationError(RuntimeError):
@@ -61,45 +65,19 @@ class VerificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Machine descriptors.
+# Per-word sortability.
 
 
-def _parse_machine(machine: str) -> tuple:
-    """Descriptor -> ("sigma", letters) or ("popstack", mode)."""
-    tokens = machine.replace("-", " ").split()
-    if len(tokens) >= 2 and tokens[0] == "sigma" and tokens[1] == "machine":
-        rest = " ".join(tokens[2:])
-        if not rest:
-            raise ValueError(f"descriptor {machine!r} names no sigma")
-        sigma = CayleyPerm.parse(rest)
-        if len(sigma) < 2:
-            raise ValueError("sigma needs at least two letters")
-        return ("sigma", tuple(sigma))
-    if len(tokens) == 2 and tokens[0] == "popstack" and tokens[1] in ("hare", "tortoise"):
-        return ("popstack", tokens[1])
-    raise ValueError(
-        f"unknown machine {machine!r}; expected 'sigma-machine <perm>', "
-        "'popstack hare' or 'popstack tortoise'"
-    )
-
-
-def _canonical_machine(desc: tuple) -> str:
-    if desc[0] == "sigma":
-        return "sigma-machine " + " ".join(map(str, desc[1]))
-    return f"popstack {desc[1]}"
-
-
-def _word_sortable(desc: tuple, w: Word) -> bool:
+def _word_sortable(machine: Machine, w: Word) -> bool:
     """Does the machine sort w?  Runs it on the one word."""
-    if desc[0] == "sigma":
-        return _avoids_231(_run_word(w, (desc[1],), False))
-    return is_weakly_increasing(_run_word(w, _POPSTACK_PATTERNS[desc[1]], True))
+    return machine.accepts(_run_word(w, machine.patterns, machine.flush_all))
 
 
 def sortable_predicate(machine: str) -> Callable[[CayleyPerm], bool]:
-    """Membership test "the machine sorts p" for a machine descriptor."""
-    desc = _parse_machine(machine)
-    return lambda p: _word_sortable(desc, tuple(p))
+    """Membership test "the machine sorts p" for a machine descriptor (see
+    `Machine.parse`), which is read once; each call runs the machine on p."""
+    m = Machine.parse(machine)
+    return lambda p: _word_sortable(m, tuple(p))
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +136,25 @@ class SequenceReport:
         return "\n".join(f"{n} {self.counts[n]}" for n in sorted(self.counts))
 
 
-def _walk(n: int, first: int, sigmas: tuple[Word, ...], flush_all: bool):
+def _walk(n: int, first: int, machine: Machine):
     """Walk the prefix tree of the length-n Cayley permutations that start
     with `first`, running the machine's first stack one letter per edge.
 
     The tree is read off the `_children` table, so letters are tried as
     `_iter_letters` tries them; the root edge is the `first` child of the
     empty prefix.  Each node also carries the stack content and the state
-    of the sortability test of the letters popped so far: for a sigma-stack
-    (single pops) the 231 state of `_avoids_231`, for a pop-stack
-    (`flush_all`) the last output letter.  Popped letters are final, so
-    once they fail the test no completion is sortable, and the subtree is
-    counted by `_completions` unvisited.  At a leaf the stack is flushed
-    through the same test.
+    of `machine.accepts` on the letters popped so far, streamed a letter at
+    a time: for a sigma-machine (single pops) the 231 state of
+    `_avoids_231`, for a pop-stack (`flush_all`) the last output letter.
+    Popped letters are final, so once they fail the test no completion is
+    sortable, and the subtree is counted by `_completions` unvisited.  At a
+    leaf the stack is flushed through the same test.
 
     Returns (visited, pruned, by_blocks): the leaves reached, the words
     counted in closed form, and the sortable words keyed by their number of
     maximal strictly decreasing blocks (the tortoise refinement).
     """
+    sigmas, flush_all = machine.patterns, machine.flush_all
     by_blocks: dict[int, int] = {}
     visited = pruned = 0
 
@@ -222,42 +201,40 @@ def _walk(n: int, first: int, sigmas: tuple[Word, ...], flush_all: bool):
     return visited, pruned, by_blocks
 
 
-def _shard_counts(args: tuple[str, int, int]) -> tuple[int, int, int, dict[int, int]]:
+def _shard_counts(args: tuple[Machine, int, int]) -> tuple[int, int, int, dict[int, int]]:
     """Walk the length-n inputs that start with `first`: (n, visited,
     pruned, sortable words by tortoise block count)."""
     machine, n, first = args
-    desc = _parse_machine(machine)
-    if desc[0] == "sigma":
-        return n, *_walk(n, first, (desc[1],), False)
-    return n, *_walk(n, first, _POPSTACK_PATTERNS[desc[1]], True)
+    return n, *_walk(n, first, machine)
 
 
 def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport:
     """Count sortable inputs per length 1..n_max.
 
-    One walk of the prefix tree of Cayley permutations per length (see
-    `_walk`) runs the first stack once per tree edge and tests the popped
-    letters as they leave it: for sigma-machines that they avoid 231, for
-    pop-stacks that they are weakly increasing.  Popped letters are final,
-    so a prefix whose output already fails is never extended: its
-    completions join the universe in closed form and are recorded as
-    pruned.  The per-word predicate `_word_sortable` is the oracle the tests
-    compare the walk against.  With threads > 1 each length is sharded by
-    leading letter over a process pool of at most one worker per shard;
-    counts are summed, so the report does not depend on the parallelism
-    degree.
+    `machine` is a descriptor (see `Machine.parse`); the report names it in
+    canonical form.  One walk of the prefix tree of Cayley permutations per
+    length (see `_walk`) runs the first stack once per tree edge and tests
+    the popped letters with `Machine.accepts` as they leave it.  Popped
+    letters are final, so a prefix whose output already fails is never
+    extended: its completions join the universe in closed form and are
+    recorded as pruned.  The per-word predicate `_word_sortable` is the
+    oracle the tests compare the walk against.  With threads > 1 each
+    length is sharded by leading letter over a process pool of at most one
+    worker per shard; counts are summed, so the report does not depend on
+    the parallelism degree.  Only the tortoise report carries the
+    block-count refinement.
     """
-    desc = _parse_machine(machine)
+    m = Machine.parse(machine)
     _check_limit(n_max, census_limit(), "census")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    refine = desc == ("popstack", "tortoise")
+    refine = m == _TORTOISE
     started = time.perf_counter()
     counts: dict[int, int] = {}
     visited: dict[int, int] = {}
     pruned: dict[int, int] = {}
     refined: dict[tuple[int, int], int] = {}
-    jobs = [(machine, n, first) for n in range(1, n_max + 1) for first in range(1, n + 1)]
+    jobs = [(m, n, first) for n in range(1, n_max + 1) for first in range(1, n + 1)]
     # a pool starts all its workers at once, so never more than the shards
     workers = min(threads, len(jobs))
     if workers > 1:
@@ -272,7 +249,7 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
         for k, c in by_blocks.items():
             refined[n, k] = refined.get((n, k), 0) + c
     return SequenceReport(
-        machine=_canonical_machine(desc),
+        machine=m.name,
         counts=counts,
         universe_sizes={n: visited[n] + pruned[n] for n in visited},
         refined=refined if refine else None,
@@ -289,7 +266,7 @@ def tortoise_refined(n: int) -> dict[int, int]:
     _check_limit(n, census_limit(), "census")
     refined: dict[int, int] = {} if n else {0: 1}  # the empty word has no blocks
     for first in range(1, n + 1):
-        for k, c in _shard_counts(("popstack tortoise", n, first))[3].items():
+        for k, c in _walk(n, first, _TORTOISE)[2].items():
             refined[k] = refined.get(k, 0) + c
     expected = {k: math.comb(n - 1, k - 1) * 2 ** (k - 1) for k in range(1, n + 1)}
     expected = {k: v for k, v in expected.items() if v}
@@ -341,7 +318,7 @@ WITNESS_TABLE: dict[Word, tuple[Word, Word]] = {
 }
 
 
-def _witness_valid(sig: Word, alpha: Word, beta: Word) -> bool:
+def _witness_valid(machine: Machine, alpha: Word, beta: Word) -> bool:
     try:
         CayleyPerm(beta)
         CayleyPerm(alpha)
@@ -349,20 +326,20 @@ def _witness_valid(sig: Word, alpha: Word, beta: Word) -> bool:
         return False
     return (
         contains(beta, alpha)
-        and _word_sortable(("sigma", sig), beta)
-        and not _word_sortable(("sigma", sig), alpha)
+        and _word_sortable(machine, beta)
+        and not _word_sortable(machine, alpha)
     )
 
 
-def _search_witness(sig: Word, max_len: int) -> tuple[Word, Word] | None:
+def _search_witness(machine: Machine, max_len: int) -> tuple[Word, Word] | None:
     """Exhaustive fallback: smallest sortable beta with a non-sortable
     pattern alpha, beta in generation order and alpha smallest first."""
     for n in range(2, max_len + 1):
         for beta in _iter_letters(n):
-            if not _word_sortable(("sigma", sig), beta):
+            if not _word_sortable(machine, beta):
                 continue
             for alpha in sorted(subpatterns(_wrap(beta)), key=lambda q: (len(q), q)):
-                if len(alpha) >= 2 and not _word_sortable(("sigma", sig), tuple(alpha)):
+                if len(alpha) >= 2 and not _word_sortable(machine, tuple(alpha)):
                     return tuple(alpha), beta
     return None
 
@@ -384,16 +361,15 @@ def witness_non_class(sigma) -> tuple[CayleyPerm, CayleyPerm]:
     for sigma = 21 is such a pair, so witness_non_class((2, 1)) always warns
     and returns (3241, 34241).
     """
-    sig = sigma if isinstance(sigma, CayleyPerm) else CayleyPerm(sigma)
-    if len(sig) < 2:
-        raise ValueError("sigma needs at least two letters")
-    if tuple(sig) == (1, 2):
+    machine = Machine.sigma(sigma)
+    letters = machine.patterns[0]
+    sig = _wrap(letters)
+    if letters == (1, 2):
         raise ValueError("Sort(12) is an avoidance class; no witness exists")
     if not _avoids_231(hat(sig)):
         raise ValueError(
             f"hat({sig}) contains 231, so Sort({sig}) is an avoidance class"
         )
-    letters = tuple(sig)
     k = len(letters)
     if letters in WITNESS_TABLE:
         alpha, beta = WITNESS_TABLE[letters]
@@ -405,13 +381,13 @@ def witness_non_class(sigma) -> tuple[CayleyPerm, CayleyPerm]:
         shifted = [v + 2 for v in letters]
         beta = tuple(shifted[:0:-1]) + (1, shifted[0], 2)
         alpha = _P132
-    if not _witness_valid(letters, alpha, beta):
+    if not _witness_valid(machine, alpha, beta):
         warnings.warn(
             f"candidate witness {alpha}/{beta} for sigma={sig} fails validation; "
             "falling back to exhaustive search",
             stacklevel=2,
         )
-        found = _search_witness(letters, k + 3)
+        found = _search_witness(machine, k + 3)
         if found is None:
             raise VerificationError(f"no witness pair exists for sigma={sig} up to length {k + 3}")
         alpha, beta = found
@@ -474,7 +450,7 @@ def verify_class(sigma, n_max: int) -> ClassVerdict:
     verdict = classify_sigma(sigma)
     if not verdict.predicted_is_class:
         alpha, beta = verdict.witness
-        ok = _witness_valid(tuple(verdict.sigma), tuple(alpha), tuple(beta))
+        ok = _witness_valid(Machine.sigma(verdict.sigma), tuple(alpha), tuple(beta))
         return replace(verdict, equality_holds=ok)
     bad = next(class_violations(verdict.sigma, n_max), None)
     return replace(
@@ -597,16 +573,11 @@ def sort11_equinumerosity(n_max: int) -> bool:
 def popstack_violations(mode: str, n_max: int) -> Iterator[CayleyPerm]:
     """Inputs where pop-stack sortability disagrees with its avoidance basis."""
     _check_limit(n_max, census_limit(), "census")
-    if mode == "hare":
-        basis = HARE_BASIS
-    elif mode == "tortoise":
-        basis = TORTOISE_BASIS
-    else:
-        raise ValueError("mode must be 'hare' or 'tortoise'")
+    machine = Machine.popstack(mode)
+    basis = _POPSTACK_BASES[mode]
     for n in range(n_max + 1):
-        for w, out in _outputs(n, _POPSTACK_PATTERNS[mode], True):
-            sortable = is_weakly_increasing(out)
-            if sortable != all(not contains(w, b) for b in basis):
+        for w, out in _outputs(n, machine.patterns, machine.flush_all):
+            if machine.accepts(out) != all(not contains(w, b) for b in basis):
                 yield _wrap(w)
 
 

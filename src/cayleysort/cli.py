@@ -27,19 +27,6 @@ from .core import generate_all, reverse  # noqa: F401
 from . import census, dyck, pattern, stack
 
 
-_VERIFY_TARGETS = (
-    "class",
-    "mesh21",
-    "bijectivity",
-    "involution",
-    "popstack-hare",
-    "popstack-tortoise",
-    "tortoise-count",
-    "tortoise-refined",
-    "sort11-equinum",
-    "fubini",
-)
-
 _VERIFY_DEFAULT_N = {
     "class": 6,
     "mesh21": 7,
@@ -95,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="print the PUSH/POP event log of one stack run")
     p.add_argument("--sigma", help="run a sigma-restricted stack (single pops)")
     p.add_argument(
-        "--machine",
-        help="run a pop-stack instead: popstack-hare or popstack-tortoise",
+        "--machine", help="run the first stack of a machine descriptor (see enumerate)"
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("perm")
@@ -120,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="exhaustively check one law; PASS or FAIL")
-    p.add_argument("target", choices=_VERIFY_TARGETS)
+    p.add_argument("target", choices=_VERIFY_DEFAULT_N.keys())
     p.add_argument("--sigma", help="required for class/bijectivity/involution")
     p.add_argument(
         "--n", type=_nonnegative_int, help="length bound (target-specific default)"
@@ -153,16 +139,17 @@ def cmd_sort(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
+def _machine(args) -> stack.Machine:
+    """The machine named by exactly one of --sigma and --machine."""
     if (args.sigma is None) == (args.machine is None):
         raise ValueError("give exactly one of --sigma or --machine")
-    p = CayleyPerm.parse(args.perm)
     if args.sigma is not None:
-        config = stack.StackConfig(frozenset({CayleyPerm.parse(args.sigma)}))
-        trace = stack.run_stack(p, config)
-    else:
-        mode = args.machine.replace("popstack-", "").replace("popstack ", "")
-        trace = stack.run_popstack(p, mode)
+        return stack.Machine.sigma(CayleyPerm.parse(args.sigma))
+    return stack.Machine.parse(args.machine)
+
+
+def cmd_trace(args) -> int:
+    trace = _machine(args).run(CayleyPerm.parse(args.perm))
     if args.format == "json":
         print(json.dumps(trace.to_dict()))
     else:
@@ -203,10 +190,7 @@ def cmd_fertility(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    if (args.sigma is None) == (args.machine is None):
-        raise ValueError("give exactly one of --sigma or --machine")
-    descriptor = args.machine if args.machine else f"sigma-machine {args.sigma}"
-    member = census.sortable_predicate(descriptor)
+    member = census.sortable_predicate(_machine(args).name)
     for p in pattern.minimal_non_members(member, args.n):
         print(p)
     return 0

@@ -269,7 +269,8 @@ def _memoised(member: Member) -> Member:
     sweep by about 2 MB.  The sweeps below check every word in generation
     order, shortest first, so when they reach a word of length n every
     word shorter than n already has its verdict, and the checks they make
-    on one-point deletions and patterns are dictionary lookups.
+    on one-point deletions and patterns are dictionary lookups.  No word
+    looks up a verdict of the last length, so the sweeps do not store them.
     """
     verdict: dict[CayleyPerm, bool] = {}
 
@@ -303,8 +304,8 @@ def downward_closure_violations(
     sets are memoised: for every member, whose patterns the sweep lists
     (a member's set is ready before any longer word asks for it), and on
     demand for the non-members that some member's patterns pass through;
-    the sets of the last length are not kept.  Nothing enumerates index
-    subsets.
+    the sets and verdicts of the last length are not kept.  Nothing
+    enumerates index subsets.
     """
     _check_limit(n_max, census_limit(), "closure sweep")
     violations: list[tuple[CayleyPerm, CayleyPerm]] = []
@@ -329,10 +330,10 @@ def downward_closure_violations(
         return got
 
     for n in range(n_max + 1):
-        # no longer word asks for the sets of the last length: keep none
-        patterns = collect if n == n_max else non_members
+        # no longer word asks for the sets or verdicts of the last length: keep none
+        patterns, accepts = (collect, member) if n == n_max else (non_members, check)
         for beta in generate_all(n):
-            if check(beta):
+            if accepts(beta):
                 violations.extend((beta, alpha) for alpha in patterns(beta))
     violations.sort(key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
     return violations
@@ -359,8 +360,10 @@ def minimal_non_members(member: Member, n_max: int) -> list[CayleyPerm]:
     minimal: list[CayleyPerm] = []
     check = _memoised(member)
     for n in range(n_max + 1):
+        # no longer word looks up the verdicts of the last length: keep none
+        accepts = member if n == n_max else check
         for p in generate_all(n):
-            if check(p) or not all(check(d) for d in _deletions(p)):
+            if accepts(p) or not all(check(d) for d in _deletions(p)):
                 continue
             if all(check(q) for q in subpatterns(p)):
                 minimal.append(p)

@@ -88,6 +88,62 @@ class SortTrace:
         }
 
 
+@dataclass(frozen=True)
+class Machine:
+    """A sorting device: a first stack forbidding `patterns` that pops one
+    letter at a time into a 21-stack (sigma-machine) or empties whole
+    (`flush_all`, pop-stack).  `name` is the descriptor `parse` reads."""
+
+    name: str
+    patterns: tuple[Word, ...]
+    flush_all: bool
+
+    @classmethod
+    def sigma(cls, sigma: Iterable[int]) -> Machine:
+        """The sigma-machine: a sigma-stack followed by a 21-stack."""
+        letters = _sigma_letters(sigma)
+        return cls("sigma-machine " + " ".join(map(str, letters)), (letters,), False)
+
+    @classmethod
+    def popstack(cls, mode: str) -> Machine:
+        """The hare or the tortoise pop-stack."""
+        if mode not in _POPSTACK_PATTERNS:
+            raise ValueError(f"mode must be {HARE!r} or {TORTOISE!r}")
+        return cls(f"popstack {mode}", _POPSTACK_PATTERNS[mode], True)
+
+    @classmethod
+    def parse(cls, text: str) -> Machine:
+        """Read 'sigma-machine <perm>', 'popstack hare' or 'popstack
+        tortoise'; a hyphen or a run of spaces separates words alike."""
+        tokens = text.replace("-", " ").split()
+        if tokens[:2] == ["sigma", "machine"]:
+            if len(tokens) == 2:
+                raise ValueError(f"descriptor {text!r} names no sigma")
+            return cls.sigma(CayleyPerm.parse(" ".join(tokens[2:])))
+        if len(tokens) == 2 and tokens[0] == "popstack" and tokens[1] in (HARE, TORTOISE):
+            return cls.popstack(tokens[1])
+        raise ValueError(
+            f"unknown machine {text!r}; expected 'sigma-machine <perm>', "
+            "'popstack hare' or 'popstack tortoise'"
+        )
+
+    def accepts(self, out: Sequence[int]) -> bool:
+        """Does the rest of the machine sort `out`, the first stack's output?
+        A 21-stack sorts exactly the 231-avoiders; nothing follows a
+        pop-stack, so its output must already be weakly increasing."""
+        return is_weakly_increasing(out) if self.flush_all else _avoids_231(out)
+
+    def sorts(self, p: Iterable[int]) -> bool:
+        """Does the machine sort p?"""
+        return self.accepts(_run_word(_as_letters(p), self.patterns, self.flush_all))
+
+    def run(self, p: Iterable[int]) -> SortTrace:
+        """Run the first stack over p and record the full event log."""
+        events: list[tuple[str, int]] = []
+        out = _run_word(_as_letters(p), self.patterns, self.flush_all, events)
+        return SortTrace(tuple(events), out)
+
+
 # ---------------------------------------------------------------------------
 # Engine.  Operates on raw letter tuples; the public wrappers validate and
 # wrap.  The stack list keeps its bottom at index 0, so reading top to bottom
@@ -263,35 +319,19 @@ def machine_output(p: Iterable[int], sigma: Iterable[int]) -> CayleyPerm:
 
 
 def is_sigma_sortable(p: Iterable[int], sigma: Iterable[int]) -> bool:
-    """Does the two-stack machine sort p?
-
-    Equivalent to s_sigma(p) avoiding 231, which is how it is computed; the
-    physically-run form is `machine_output(p, sigma)` being weakly
-    increasing.
-    """
-    return _avoids_231(_run_word(_as_letters(p), (_sigma_letters(sigma),), False))
+    """Does the two-stack machine sort p?  Tested as s_sigma(p) avoiding 231;
+    the physically-run form is `machine_output(p, sigma)` being sorted."""
+    return Machine.sigma(sigma).sorts(p)
 
 
 def run_popstack(p: Iterable[int], mode: str) -> SortTrace:
     """Run the hare or tortoise pop-stack over p with the full event log."""
-    patterns = _popstack_patterns(mode)
-    letters = _as_letters(p)
-    events: list[tuple[str, int]] = []
-    output = _run_word(letters, patterns, True, events)
-    return SortTrace(tuple(events), output)
+    return Machine.popstack(mode).run(p)
 
 
 def is_popstack_sortable(p: Iterable[int], mode: str) -> bool:
     """Is the pop-stack output weakly increasing?"""
-    out = _run_word(_as_letters(p), _popstack_patterns(mode), True)
-    return is_weakly_increasing(out)
-
-
-def _popstack_patterns(mode: str) -> tuple[Word, ...]:
-    try:
-        return _POPSTACK_PATTERNS[mode]
-    except KeyError:
-        raise ValueError(f"mode must be {HARE!r} or {TORTOISE!r}") from None
+    return Machine.popstack(mode).sorts(p)
 
 
 def hare_blocks(p: Iterable[int]) -> list[Word]:

@@ -36,13 +36,12 @@ from cayleysort import (
 from cayleysort import census
 from cayleysort.census import (
     WITNESS_TABLE,
-    _parse_machine,
     _search_witness,
     _shard_counts,
     _word_sortable,
 )
 from cayleysort.core import _iter_letters, fubini_numbers
-from cayleysort.stack import _avoids_231, _run_word
+from cayleysort.stack import Machine, _avoids_231, _run_word
 from conftest import universe, words_up_to
 from reference import brute_contains, naive_machine
 
@@ -56,21 +55,29 @@ def _naive_sorts(letters, sigma):
 
 class TestMachineDescriptors:
     def test_sigma_machine_forms(self):
-        assert _parse_machine("sigma-machine 21") == ("sigma", (2, 1))
-        assert _parse_machine("sigma-machine 2 1") == ("sigma", (2, 1))
-        assert _parse_machine("sigma machine 1 1") == ("sigma", (1, 1))
+        assert Machine.parse("sigma-machine 21") == Machine("sigma-machine 2 1", ((2, 1),), False)
+        assert Machine.parse("sigma-machine 2 1") == Machine.sigma((2, 1))
+        assert Machine.parse("sigma machine 1 1") == Machine.sigma((1, 1))
 
     def test_popstack_forms(self):
-        assert _parse_machine("popstack hare") == ("popstack", "hare")
-        assert _parse_machine("popstack-tortoise") == ("popstack", "tortoise")
+        assert Machine.parse("popstack hare") == Machine("popstack hare", ((2, 1),), True)
+        assert Machine.parse("popstack-tortoise") == Machine.popstack("tortoise")
+        assert Machine.parse("popstack  hare") == Machine.popstack("hare")
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "sigma-machine", "sigma-machine 1", "popstack", "popstack snail", "bogus 21"],
+        ["", "sigma-machine", "sigma-machine 1", "popstack", "popstack snail", "bogus 21", "hare"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
-            _parse_machine(bad)
+            Machine.parse(bad)
+
+    def test_name_parses_back(self):
+        machines = [Machine.sigma(s) for s in sigma_panel()]
+        machines += [Machine.popstack("hare"), Machine.popstack("tortoise")]
+        assert len(machines) == 93
+        for m in machines:
+            assert Machine.parse(m.name) == m
 
     def test_sortable_predicate(self):
         pred = sortable_predicate("sigma-machine 21")
@@ -312,7 +319,7 @@ class TestWitnesses:
         assert not _naive_sorts((3, 2, 4, 1), (2, 1))
 
     def test_search_witness_directly(self):
-        assert _search_witness((2, 1), 5) == ((3, 2, 4, 1), (3, 4, 2, 4, 1))
+        assert _search_witness(Machine.sigma((2, 1)), 5) == ((3, 2, 4, 1), (3, 4, 2, 4, 1))
 
     def test_rejected_for_classes(self):
         with pytest.raises(ValueError):
@@ -378,13 +385,13 @@ class TestCharacterizations:
 def _per_word_census(machine, n_max):
     """Counts, universe sizes and block-refined counts by running the
     per-word predicate on every Cayley permutation."""
-    desc = _parse_machine(machine)
+    m = Machine.parse(machine)
     counts, sizes, refined = {}, {}, {}
     for n in range(1, n_max + 1):
         counts[n] = 0
         sizes[n] = len(universe(n))
         for w in universe(n):
-            if _word_sortable(desc, w):
+            if _word_sortable(m, w):
                 counts[n] += 1
                 k = len(tortoise_blocks(w))
                 refined[n, k] = refined.get((n, k), 0) + 1
@@ -420,8 +427,8 @@ class TestCensusWalk:
             for first in range(1, n + 1):
                 words = [w for w in universe(n) if w[0] == first]
                 naive = [w for w in words if _naive_sorts(w, (2, 1))]
-                assert [w for w in words if _word_sortable(("sigma", (2, 1)), w)] == naive
-                _, visited, pruned, by_blocks = _shard_counts(("sigma-machine 21", n, first))
+                assert [w for w in words if _word_sortable(Machine.sigma((2, 1)), w)] == naive
+                _, visited, pruned, by_blocks = _shard_counts((Machine.sigma((2, 1)), n, first))
                 assert visited + pruned == len(words)
                 assert sum(by_blocks.values()) == len(naive)
 

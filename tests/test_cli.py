@@ -62,6 +62,24 @@ class TestTrace:
         assert payload["output"] == [1, 2, 1, 2]
         assert payload["events"][0] == ["PUSH", 2]
 
+    def test_machine_descriptor_spacing(self, capsys):
+        _, hyphen, _ = run(capsys, "trace", "--machine", "popstack-hare", "2 1 2 1")
+        code, spaced, _ = run(capsys, "trace", "--machine", "popstack  hare", "2 1 2 1")
+        assert code == 0
+        assert spaced == hyphen
+
+    def test_sigma_machine_descriptor(self, capsys):
+        _, by_sigma, _ = run(capsys, "trace", "--sigma", "2 1", "2 3 1")
+        code, out, _ = run(capsys, "trace", "--machine", "sigma-machine 2 1", "2 3 1")
+        assert code == 0
+        assert out == by_sigma
+
+    def test_bare_mode_is_unknown_machine(self, capsys):
+        code, out, err = run(capsys, "trace", "--machine", "hare", "2 1")
+        assert code == 2
+        assert out == ""
+        assert "unknown machine 'hare'" in err
+
     def test_requires_exactly_one_machine(self, capsys):
         code, _, err = run(capsys, "trace", "2 1")
         assert code == 2
@@ -340,6 +358,11 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "everything"])
         assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "invalid choice: 'everything' (choose from 'class', 'mesh21', "
+            "'bijectivity', 'involution', 'popstack-hare', 'popstack-tortoise', "
+            "'tortoise-count', 'tortoise-refined', 'sort11-equinum', 'fubini')\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from cayleysort import (
     occurrences,
     subpatterns,
 )
+from cayleysort import pattern
 from cayleysort.pattern import _deletions
 from conftest import random_words, universe, words_up_to
 from reference import (
@@ -258,6 +259,21 @@ class TestSweepBound:
 
         sweep(member, 4)
         assert len(calls) == len(set(calls)) == sum(1 for _ in words_up_to(4))
+
+    def test_last_length_verdicts_not_stored(self, sweep, monkeypatch):
+        verdicts = {}
+
+        def memoised(member):
+            def check(p):
+                if p not in verdicts:
+                    verdicts[p] = member(p)
+                return verdicts[p]
+
+            return check
+
+        monkeypatch.setattr(pattern, "_memoised", memoised)
+        sweep(lambda p: not contains(p, (2, 3, 1)), 5)
+        assert {len(p) for p in verdicts} == {0, 1, 2, 3, 4}
 
 
 class TestMinimalNonMembers:

@@ -172,6 +172,14 @@ class TestOutputsSweep:
                 n, sigmas, flush_all
             ), n
 
+    def test_21_and_hare_at_eight(self):
+        for sigmas, flush_all in [(((2, 1),), False), (_POPSTACK_PATTERNS["hare"], True)]:
+            count = 0
+            for w, out in _outputs(8, sigmas, flush_all):
+                assert out == _run_word(w, sigmas, flush_all), (sigmas, w)
+                count += 1
+            assert count == 545835
+
     @pytest.mark.parametrize("sigmas, flush_all", _SWEEP_MACHINES, ids=_SWEEP_IDS)
     def test_naive_simulator_to_five(self, sigmas, flush_all):
         for n in range(6):
