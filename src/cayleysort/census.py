@@ -36,17 +36,19 @@ from .stack import (
     HARE,
     TORTOISE,
     Machine,
+    _accept,
     _avoids_231,
     _creates_occurrence,
     _outputs,
+    _pops,
     _run_word,
     _sigma_letters,
 )
 
 # Not called here (the census walk counts blocks itself, the law sweeps
-# reverse tuples by slicing, and `Machine.accepts` tests the outputs); kept
-# because perfbench/tracer.py wraps census.tortoise_blocks, census.reverse
-# and census.is_weakly_increasing by name.
+# reverse tuples by slicing, and `stack._accept` is the one sorted-output
+# test); kept because perfbench/tracer.py wraps census.tortoise_blocks,
+# census.reverse and census.is_weakly_increasing by name.
 from .core import is_weakly_increasing, reverse  # noqa: F401
 from .stack import tortoise_blocks  # noqa: F401
 
@@ -143,12 +145,11 @@ def _walk(n: int, first: int, machine: Machine):
     The tree is read off the `_children` table, so letters are tried as
     `_iter_letters` tries them; the root edge is the `first` child of the
     empty prefix.  Each node also carries the stack content and the state
-    of `machine.accepts` on the letters popped so far, streamed a letter at
-    a time: for a sigma-machine (single pops) the 231 state of
-    `_avoids_231`, for a pop-stack (`flush_all`) the last output letter.
-    Popped letters are final, so once they fail the test no completion is
-    sortable, and the subtree is counted by `_completions` unvisited.  At a
-    leaf the stack is flushed through the same test.
+    of `_accept` on the letters popped so far: each edge that cannot push
+    its letter feeds what `_pops` pops to it.  Popped letters are final, so
+    once they fail the test no completion is sortable, and the subtree is
+    counted by `_completions` unvisited.  At a leaf the stack is flushed
+    through the same test.
 
     Returns (visited, pruned, by_blocks): the leaves reached, the words
     counted in closed form, and the sortable words keyed by their number of
@@ -158,46 +159,27 @@ def _walk(n: int, first: int, machine: Machine):
     by_blocks: dict[int, int] = {}
     visited = pruned = 0
 
-    def drain(st, v, low, above):
-        """Pop st into the output test as the machine does before pushing v,
-        or entirely when v is None (the input has run out).  Returns the
-        new test state, or None once the output fails."""
-        above = above[:]
-        while st:
-            y = st.pop()
-            if y < low:
-                return None
-            if flush_all:
-                low = y
-                continue
-            while above and above[-1] < y:
-                low = above.pop()
-            above.append(y)
-            if v is not None and not (st and _creates_occurrence(st, v, sigmas)):
-                break
-        return low, above
-
-    def descend(left, children, stack, low, above, prev, blocks):
+    def descend(left, children, stack, state, prev, blocks):
         """Visit `children`, the nodes with `left - 1` letters to come."""
         nonlocal visited, pruned
         for v, top, unused in children:
             st = stack[:]
-            state = low, above
+            child = state
             if st and _creates_occurrence(st, v, sigmas):
-                state = drain(st, v, low, above)
-                if state is None:
+                child = _accept(state, _pops(st, v, sigmas, flush_all), flush_all)
+                if child is None:
                     pruned += _completions(left - 1, top, unused)
                     continue
             st.append(v)
             k = blocks + (prev <= v)
             if left > 1:
-                descend(left - 1, _children(left - 1, top, unused), st, *state, v, k)
+                descend(left - 1, _children(left - 1, top, unused), st, child, v, k)
             else:
                 visited += 1
-                if drain(st, None, *state) is not None:
+                if _accept(child, st[::-1], flush_all) is not None:
                     by_blocks[k] = by_blocks.get(k, 0) + 1
 
-    descend(n, [c for c in _children(n, 0, 0) if c[0] == first], [], 0, [], 0, 0)
+    descend(n, [c for c in _children(n, 0, 0) if c[0] == first], [], (0, ()), 0, 0)
     return visited, pruned, by_blocks
 
 
@@ -214,10 +196,10 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     `machine` is a descriptor (see `Machine.parse`); the report names it in
     canonical form.  One walk of the prefix tree of Cayley permutations per
     length (see `_walk`) runs the first stack once per tree edge and tests
-    the popped letters with `Machine.accepts` as they leave it.  Popped
-    letters are final, so a prefix whose output already fails is never
-    extended: its completions join the universe in closed form and are
-    recorded as pruned.  The per-word predicate `_word_sortable` is the
+    the popped letters with `_accept`, the resumable `Machine.accepts`, as
+    they leave it.  Popped letters are final, so a prefix whose output
+    already fails is never extended: its completions join the universe in
+    closed form and are recorded as pruned.  The per-word predicate `_word_sortable` is the
     oracle the tests compare the walk against.  With threads > 1 each
     length is sharded by leading letter over a process pool of at most one
     worker per shard; counts are summed, so the report does not depend on

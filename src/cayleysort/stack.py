@@ -15,6 +15,7 @@ used throughout.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -25,13 +26,13 @@ from .core import (
     _children,
     _wrap,
     census_limit,
-    is_weakly_increasing,
 )
 from .pattern import _extend
 
-# Not called here; kept because perfbench/tracer.py wraps stack.contains
-# and stack._iter_letters by name.
-from .core import _iter_letters  # noqa: F401
+# Not called here (`_accept` is the one sorted-output test); kept because
+# perfbench/tracer.py wraps stack.contains, stack._iter_letters and
+# stack.is_weakly_increasing by name.
+from .core import _iter_letters, is_weakly_increasing  # noqa: F401
 from .pattern import contains  # noqa: F401
 
 PUSH = "PUSH"
@@ -114,14 +115,16 @@ class Machine:
     @classmethod
     def parse(cls, text: str) -> Machine:
         """Read 'sigma-machine <perm>', 'popstack hare' or 'popstack
-        tortoise'; a hyphen or a run of spaces separates words alike."""
-        tokens = text.replace("-", " ").split()
-        if tokens[:2] == ["sigma", "machine"]:
-            if len(tokens) == 2:
+        tortoise'.  A hyphen or a run of spaces separates the keywords; the
+        permutation text goes to `CayleyPerm.parse` as written."""
+        sigma = re.fullmatch(r"\s*sigma(?:-|\s+)machine(?:\s+(.*))?", text, re.DOTALL)
+        if sigma:
+            if not (sigma[1] or "").strip():
                 raise ValueError(f"descriptor {text!r} names no sigma")
-            return cls.sigma(CayleyPerm.parse(" ".join(tokens[2:])))
-        if len(tokens) == 2 and tokens[0] == "popstack" and tokens[1] in (HARE, TORTOISE):
-            return cls.popstack(tokens[1])
+            return cls.sigma(CayleyPerm.parse(sigma[1]))
+        pop = re.fullmatch(rf"\s*popstack(?:-|\s+)({HARE}|{TORTOISE})\s*", text)
+        if pop:
+            return cls.popstack(pop[1])
         raise ValueError(
             f"unknown machine {text!r}; expected 'sigma-machine <perm>', "
             "'popstack hare' or 'popstack tortoise'"
@@ -131,7 +134,7 @@ class Machine:
         """Does the rest of the machine sort `out`, the first stack's output?
         A 21-stack sorts exactly the 231-avoiders; nothing follows a
         pop-stack, so its output must already be weakly increasing."""
-        return is_weakly_increasing(out) if self.flush_all else _avoids_231(out)
+        return _accept((0, ()), out, self.flush_all) is not None
 
     def sorts(self, p: Iterable[int]) -> bool:
         """Does the machine sort p?"""
@@ -183,6 +186,21 @@ def _creates_occurrence(stack: list[int], x: int, sigmas: tuple[Word, ...]) -> b
     return False
 
 
+def _pops(stack: list[int], x: int, sigmas: tuple[Word, ...], flush_all: bool) -> list[int]:
+    """Pop what the machine pops before it can push x, which the caller has
+    seen it cannot push yet: one letter at a time until x fits, or the
+    whole stack.  Returns the popped letters, top first."""
+    if flush_all:
+        popped = stack[::-1]
+        stack.clear()
+        return popped
+    popped = []
+    while True:
+        popped.append(stack.pop())
+        if not stack or not _creates_occurrence(stack, x, sigmas):
+            return popped
+
+
 def _run_word(
     letters: Sequence[int],
     sigmas: tuple[Word, ...],
@@ -195,28 +213,16 @@ def _run_word(
     out: list[int] = []
     for x in letters:
         if stack and _creates_occurrence(stack, x, sigmas):
-            if flush_all:
-                while stack:
-                    v = stack.pop()
-                    out.append(v)
-                    if record:
-                        events.append((POP, v))
-            else:
-                while True:
-                    v = stack.pop()
-                    out.append(v)
-                    if record:
-                        events.append((POP, v))
-                    if not stack or not _creates_occurrence(stack, x, sigmas):
-                        break
+            popped = _pops(stack, x, sigmas, flush_all)
+            out += popped
+            if record:
+                events.extend((POP, v) for v in popped)
         stack.append(x)
         if record:
             events.append((PUSH, x))
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        if record:
-            events.append((POP, v))
+    out += stack[::-1]
+    if record:
+        events.extend((POP, v) for v in reversed(stack))
     return tuple(out)
 
 
@@ -242,14 +248,8 @@ def _outputs(
         for v, t, u in _children(left, top, unused):
             st, o = stack, out
             if st and _creates_occurrence(st, v, sigmas):
-                if flush_all:
-                    st, o = [], o + st[::-1]
-                else:
-                    st, o = st[:], o[:]
-                    while True:
-                        o.append(st.pop())
-                        if not st or not _creates_occurrence(st, v, sigmas):
-                            break
+                st = st[:]
+                o = o + _pops(st, v, sigmas, flush_all)
             st.append(v)
             word.append(v)
             if left > 1:
@@ -262,24 +262,38 @@ def _outputs(
     yield from descend(n, 0, 0, [], [])
 
 
-def _avoids_231(word: Sequence[int]) -> bool:
-    """Does word avoid 231 (letters b, c, a in that order with a < b < c)?
+def _accept(state: tuple, letters: Iterable[int], flush_all: bool) -> tuple | None:
+    """`Machine.accepts` made resumable: the state (`low`, `above`) after
+    more output letters, or None once no continuation can be sorted.  The
+    empty output's state is (0, ()).
 
-    One left-to-right pass.  `above` holds, weakly decreasing from bottom to
-    top, the letters not yet followed by a larger one; `low` is the largest
-    letter already followed by a larger one, the "2" of the highest 23 read
-    so far.  A letter below `low` completes a 231.  The census walk streams
-    the same state.
+    A letter below `low` fails.  Behind a pop-stack the output must be
+    weakly increasing, and `low` is its last letter.  Behind a 21-stack it
+    must avoid 231 (b, c, a in that order with a < b < c): `above` holds,
+    weakly decreasing, the letters not yet followed by a larger one, and
+    `low` is the largest letter already followed by one, the "2" of the
+    highest 23 read so far.
     """
-    low = 0
-    above: list[int] = []
-    for x in word:
-        if x < low:
-            return False
-        while above and above[-1] < x:
+    low, above = state
+    if flush_all:
+        for y in letters:
+            if y < low:
+                return None
+            low = y
+        return low, above
+    above = list(above)
+    for y in letters:
+        if y < low:
+            return None
+        while above and above[-1] < y:
             low = above.pop()
-        above.append(x)
-    return True
+        above.append(y)
+    return low, tuple(above)
+
+
+def _avoids_231(word: Sequence[int]) -> bool:
+    """Does word avoid 231?  One left-to-right pass of `_accept`."""
+    return _accept((0, ()), word, False) is not None
 
 
 def _as_letters(p: Iterable[int]) -> Word:

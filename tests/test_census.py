@@ -66,7 +66,10 @@ class TestMachineDescriptors:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "sigma-machine", "sigma-machine 1", "popstack", "popstack snail", "bogus 21", "hare"],
+        [
+            "", "sigma-machine", "sigma-machine 1", "popstack", "popstack snail", "bogus 21",
+            "hare", "sigma-machine 2 -1", "sigma-machine 1 -1 2", "popstack-hare-",
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):

@@ -136,6 +136,13 @@ class TestEnumerate:
         assert code == 2
         assert "machine" in err
 
+    def test_minus_sign_in_sigma_is_not_a_separator(self, capsys):
+        code, _, err = run(
+            capsys, "enumerate", "--machine", "sigma-machine 2 -1", "--n-max", "3"
+        )
+        assert code == 2
+        assert "-1" in err
+
     def test_resource_bound(self, capsys):
         code, _, err = run(
             capsys, "enumerate", "--machine", "popstack hare", "--n-max", "9"

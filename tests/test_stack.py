@@ -28,9 +28,16 @@ from cayleysort import (
 )
 from cayleysort.census import sigma_panel
 from cayleysort.core import _iter_letters
-from cayleysort.stack import _POPSTACK_PATTERNS, _outputs, _run_word
+from cayleysort.stack import (
+    _POPSTACK_PATTERNS,
+    Machine,
+    _accept,
+    _avoids_231,
+    _outputs,
+    _run_word,
+)
 from conftest import SIGMA_PANEL16, random_words, universe, words_up_to
-from reference import naive_machine
+from reference import brute_contains, naive_machine
 
 
 class TestStackConfig:
@@ -187,6 +194,28 @@ class TestOutputsSweep:
             assert [w for w, _ in got] == list(universe(n))
             for w, out in got:
                 assert out == naive_machine(w, sigmas, flush_all=flush_all)[0], w
+
+
+class TestAccept:
+    """`_accept`, the sorted-output test behind `Machine.accepts`, resumed
+    mid-output as the census walk resumes it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_words(0, 12, 7), st.integers(0, 12), st.booleans())
+    def test_resumes_at_any_split(self, word, cut, flush_all):
+        u, v = word[:cut], word[cut:]
+        head = _accept((0, ()), u, flush_all)
+        resumed = None if head is None else _accept(head, v, flush_all)
+        assert resumed == _accept((0, ()), u + v, flush_all)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_words(0, 12, 7))
+    def test_machine_accepts(self, word):
+        for mode in ("hare", "tortoise"):
+            assert Machine.popstack(mode).accepts(word) == is_weakly_increasing(word)
+        avoids = not brute_contains(word, (2, 3, 1))
+        for sigma in [(2, 1), (1, 1), (2, 3, 1)]:
+            assert Machine.sigma(sigma).accepts(word) == _avoids_231(word) == avoids
 
 
 class TestSSigma:
