@@ -31,7 +31,14 @@ from .core import (
     generate_all,
     hat,
 )
-from .pattern import MESH_Z, contains, contains_mesh, subpatterns
+from .pattern import (
+    MESH_Z,
+    CayleyMeshPattern,
+    _creates_mesh,
+    _reverse_mesh,
+    contains,
+    subpatterns,
+)
 from .stack import (
     HARE,
     TORTOISE,
@@ -39,6 +46,7 @@ from .stack import (
     _accept,
     _avoids_231,
     _creates_occurrence,
+    _may_sort,
     _outputs,
     _pops,
     _run_word,
@@ -46,10 +54,12 @@ from .stack import (
 )
 
 # Not called here (the census walk counts blocks itself, the law sweeps
-# reverse tuples by slicing, and `stack._accept` is the one sorted-output
-# test); kept because perfbench/tracer.py wraps census.tortoise_blocks,
-# census.reverse and census.is_weakly_increasing by name.
+# reverse tuples by slicing and find mesh occurrences on the prefix tree,
+# and `stack._accept` is the one sorted-output test); kept because
+# perfbench/tracer.py wraps census.tortoise_blocks, census.reverse,
+# census.is_weakly_increasing and census.contains_mesh by name.
 from .core import is_weakly_increasing, reverse  # noqa: F401
+from .pattern import contains_mesh  # noqa: F401
 from .stack import tortoise_blocks  # noqa: F401
 
 _P132 = (1, 3, 2)
@@ -60,6 +70,7 @@ HARE_BASIS = ((2, 3, 1), (3, 1, 2), (2, 1, 2, 1))
 TORTOISE_BASIS = ((2, 3, 1), (3, 1, 2), (2, 2, 1), (2, 1, 1))
 _POPSTACK_BASES = {HARE: HARE_BASIS, TORTOISE: TORTOISE_BASIS}
 _TORTOISE = Machine.popstack(TORTOISE)
+_MACHINE_21 = Machine.sigma((2, 1))
 
 
 class VerificationError(RuntimeError):
@@ -260,6 +271,74 @@ def tortoise_refined(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Law sweeps.
+
+
+def _law_walk(
+    n: int,
+    machine: Machine,
+    basis: tuple[Word, ...],
+    meshes: tuple[CayleyMeshPattern, ...] = (),
+) -> Iterator[Word]:
+    """Yield, in `_iter_letters` order, the length-n words w on which "the
+    machine sorts w" equals "w contains a pattern of `basis` or of
+    `meshes`": the counterexamples to Sort(machine) = Av(basis, meshes).
+
+    Walks the prefix tree down the `_children` table as `_outputs` does,
+    one machine step per edge.  Each node also carries whether its prefix
+    is blocked (contains a pattern).  Containment only grows along a
+    branch, so an unblocked node asks only whether its new letter
+    completes an occurrence as its last letter: the reversed pattern with
+    that letter fixed first, embedded into the reversed prefix.  That
+    fails for a mesh pattern with a cell after its last position, which
+    later letters can fill, so such a pattern raises ValueError.
+
+    The machine is dead once its popped letters fail `_accept` or
+    `_may_sort` finds that no completion is sorted.  A node that is dead
+    and blocked is settled: every leaf below it is unsortable and blocked,
+    so none is a counterexample, and its subtree is skipped unvisited.
+    """
+    for mp in meshes:
+        if any(i == len(mp.tau) for i, _ in mp.gap_cells | mp.eq_cells):
+            raise ValueError(f"mesh pattern {mp} has a cell after its last position")
+    sigmas, flush_all = machine.patterns, machine.flush_all
+    reversed_basis = tuple(tuple(p)[::-1] for p in basis)
+    reversed_meshes = tuple(_reverse_mesh(mp) for mp in meshes)
+    word: list[int] = []
+
+    def descend(left, top, unused, stack, state, blocked):
+        for v, t, u in _children(left, top, unused):
+            hit = (
+                blocked
+                or _creates_occurrence(word, v, reversed_basis)
+                or any(_creates_mesh(word, v, rmp) for rmp in reversed_meshes)
+            )
+            st, child = stack, state
+            if child is not None:
+                if st and _creates_occurrence(st, v, sigmas):
+                    st = st[:]
+                    child = _accept(child, _pops(st, v, sigmas, flush_all), flush_all)
+                if child is not None and not _may_sort(child, st, v, flush_all):
+                    child = None
+            if child is None:
+                if hit:
+                    continue  # settled
+            else:
+                st.append(v)
+            word.append(v)
+            if left > 1:
+                yield from descend(left - 1, t, u, st, child, hit)
+            elif (child is not None) == hit:
+                yield tuple(word)
+            word.pop()
+            if child is not None:
+                st.pop()
+
+    if n:
+        yield from descend(n, 0, 0, [], (0, ()), False)
+
+
+# ---------------------------------------------------------------------------
 # Classness of sortable sets.
 
 
@@ -412,10 +491,10 @@ def class_violations(sigma, n_max: int) -> Iterator[CayleyPerm]:
     targets = _class_targets(sig)
     if targets is None:
         raise ValueError(f"Sort({_wrap(sig)}) is not an avoidance class")
+    machine = Machine.sigma(sig)
     for n in range(n_max + 1):
-        for w, out in _outputs(n, (sig,), False):
-            if _avoids_231(out) == any(contains(w, t) for t in targets):
-                yield _wrap(w)
+        for w in _law_walk(n, machine, targets):
+            yield _wrap(w)
 
 
 def verify_class(sigma, n_max: int) -> ClassVerdict:
@@ -458,10 +537,8 @@ def mesh21_violations(n_max: int) -> Iterator[CayleyPerm]:
     does not contain the mesh pattern Z"."""
     _check_limit(n_max, census_limit(), "census")
     for n in range(n_max + 1):
-        for w, out in _outputs(n, ((2, 1),), False):
-            blocked = contains(w, _P2341) or contains_mesh(w, MESH_Z)
-            if _avoids_231(out) == blocked:
-                yield _wrap(w)
+        for w in _law_walk(n, _MACHINE_21, (_P2341,), (MESH_Z,)):
+            yield _wrap(w)
 
 
 def verify_21_machine_mesh(n_max: int) -> bool:
@@ -556,11 +633,9 @@ def popstack_violations(mode: str, n_max: int) -> Iterator[CayleyPerm]:
     """Inputs where pop-stack sortability disagrees with its avoidance basis."""
     _check_limit(n_max, census_limit(), "census")
     machine = Machine.popstack(mode)
-    basis = _POPSTACK_BASES[mode]
     for n in range(n_max + 1):
-        for w, out in _outputs(n, machine.patterns, machine.flush_all):
-            if machine.accepts(out) != all(not contains(w, b) for b in basis):
-                yield _wrap(w)
+        for w in _law_walk(n, machine, _POPSTACK_BASES[mode]):
+            yield _wrap(w)
 
 
 def verify_popstack_characterization(mode: str, n_max: int) -> bool:

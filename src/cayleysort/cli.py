@@ -4,14 +4,16 @@ Subcommands: sort, trace, dyck, enumerate, verify, witness, fertility,
 basis.  Permutations are written as space-separated values ("4 2 1 3 2") or
 compactly when single-digit ("42132").  Exit status is 0 for success (an
 UNSORTABLE answer to a sortability query is a result, not an error), 1 when
-a verification target FAILs, and 2 for usage errors, including inputs that
-are not Cayley permutations and lengths beyond the configured bound.
+a verification target FAILs, 2 for usage errors, including inputs that
+are not Cayley permutations and lengths beyond the configured bound, and
+141 when standard output is a pipe its reader closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -313,8 +315,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+#: Exit status when the reader of standard output goes away early, as in
+#: `cayleysort enumerate ... | head -1`: 128 + SIGPIPE, what a shell reports
+#: for a process the signal ends.
+EXIT_BROKEN_PIPE = 141
+
+
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more can be written; point stdout at devnull so that the
+        # flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -199,17 +199,13 @@ MESH_Z = CayleyMeshPattern(
 )
 
 
-def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
-    """True when some occurrence of mp.tau in `text` violates no cell of mp.
-
-    The occurrence search stops at the first occurrence that is clear.
-    """
+def _cells_clear(text: Sequence[int], mp: CayleyMeshPattern) -> Callable[[list[int]], bool]:
+    """The cell check of mp on `text`: does the occurrence of mp.tau at the
+    0-based positions `pos` leave every cell of mp empty?"""
     tau = mp.tau
     k = len(tau)
     m = tau.max_letter
     n = len(text)
-    if k == 0:
-        return True
     cells = [(i, j, False) for i, j in mp.gap_cells] + [
         (i, v, True) for i, v in mp.eq_cells
     ]
@@ -233,7 +229,44 @@ def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
                     return False
         return True
 
-    return _extend(text, tau, [0] * k, [0] * k, 0, 0, clear)
+    return clear
+
+
+def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
+    """True when some occurrence of mp.tau in `text` violates no cell of mp.
+
+    The occurrence search stops at the first occurrence that is clear.
+    """
+    k = len(mp.tau)
+    if k == 0:
+        return True
+    return _extend(text, mp.tau, [0] * k, [0] * k, 0, 0, _cells_clear(text, mp))
+
+
+def _reverse_mesh(mp: CayleyMeshPattern) -> CayleyMeshPattern:
+    """mp read right to left: a word contains mp exactly when its reverse
+    contains the result.  Cell column i becomes column k - i."""
+    k = len(mp.tau)
+    return CayleyMeshPattern(
+        _wrap(mp.tau[::-1]),
+        frozenset((k - i, j) for i, j in mp.gap_cells),
+        frozenset((k - i, v) for i, v in mp.eq_cells),
+    )
+
+
+def _creates_mesh(prefix: Sequence[int], x: int, rmp: CayleyMeshPattern) -> bool:
+    """Does prefix + (x,) hold an occurrence of the mesh pattern
+    `_reverse_mesh(rmp)` whose last letter is x?
+
+    Read right to left, x comes first: the rest of rmp.tau is embedded into
+    the prefix reversed, with x already matched to its first letter, and
+    each occurrence gets the cell check of rmp on the reversed word.  Needs
+    len(rmp.tau) >= 2.
+    """
+    text = [x, *reversed(prefix)]
+    k = len(rmp.tau)
+    vals = [x] + [0] * (k - 1)
+    return _extend(text, rmp.tau, vals, [0] * k, 1, 1, _cells_clear(text, rmp))
 
 
 Member = Callable[[CayleyPerm], bool]

@@ -291,6 +291,20 @@ def _accept(state: tuple, letters: Iterable[int], flush_all: bool) -> tuple | No
     return low, tuple(above)
 
 
+def _may_sort(state: tuple, stack: list[int], x: int, flush_all: bool) -> bool:
+    """Can the machine still sort some completion once x is pushed onto
+    `stack`, with `state` the `_accept` state of the letters popped so far?
+
+    The stack empties top first, after everything already popped, so every
+    completion's output holds the popped letters followed, as a
+    subsequence, by x and `stack` read top to bottom.  231-avoidance and
+    weak increase are both closed under subsequences, so when that sequence
+    fails no completion is sorted.  At a leaf it is the whole output, and
+    the answer is exact.
+    """
+    return _accept(state, [x, *reversed(stack)], flush_all) is not None
+
+
 def _avoids_231(word: Sequence[int]) -> bool:
     """Does word avoid 231?  One left-to-right pass of `_accept`."""
     return _accept((0, ()), word, False) is not None

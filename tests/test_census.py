@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from cayleysort import (
     HARE_BASIS,
+    MESH_W,
+    MESH_Z,
     TORTOISE_BASIS,
+    CayleyMeshPattern,
     CayleyPerm,
     ResourceLimitError,
     class_violations,
     classify_sigma,
     contains,
+    contains_mesh,
     count_sortable,
     involution_violations,
     is_sigma_sortable,
@@ -41,8 +45,8 @@ from cayleysort.census import (
     _word_sortable,
 )
 from cayleysort.core import _iter_letters, fubini_numbers
-from cayleysort.stack import Machine, _avoids_231, _run_word
-from conftest import universe, words_up_to
+from cayleysort.stack import Machine, _avoids_231, _outputs, _run_word
+from conftest import corrupt_law_basis, universe, words_up_to
 from reference import brute_contains, naive_machine
 
 
@@ -261,13 +265,7 @@ class TestVerifyClass:
 
     def test_verdict_carries_the_first_counterexample(self, monkeypatch):
         assert verify_class((3, 2, 1), 5).counterexample is None
-        real = census._outputs
-
-        def corrupted(n, sigmas, flush_all):
-            for w, out in real(n, sigmas, flush_all):
-                yield w, (w if w in ((1, 2, 3), (1, 2, 3, 4)) else out)
-
-        monkeypatch.setattr(census, "_outputs", corrupted)
+        corrupt_law_basis(monkeypatch)
         verdict = verify_class((3, 2, 1), 5)
         assert not verdict.equality_holds
         assert verdict.counterexample == (1, 2, 3)
@@ -551,16 +549,85 @@ class TestLawSweeps:
             list(class_violations((1, 1), 3))
 
     def test_class_violations_reports_a_corrupted_output(self, monkeypatch):
-        real = census._outputs
-
-        def corrupted(n, sigmas, flush_all):
-            for w, out in real(n, sigmas, flush_all):
-                # s_321(123) = 231; a sorted output would make 123 sortable
-                yield w, (w if w == (1, 2, 3) else out)
-
-        monkeypatch.setattr(census, "_outputs", corrupted)
+        # s_321(123) = 231, so 123 is not sortable; with 123 dropped from
+        # the basis it is not blocked either
+        corrupt_law_basis(monkeypatch)
         assert list(class_violations((3, 2, 1), 4)) == [(1, 2, 3)]
         assert not verify_class((3, 2, 1), 4).equality_holds
+
+
+def _per_word_violations(n, machine, basis, meshes=()):
+    """The law walk's answer by a per-word loop over `_outputs`: the words
+    on which sortability equals containing a pattern of basis or meshes."""
+    return [
+        w
+        for w, out in _outputs(n, machine.patterns, machine.flush_all)
+        if machine.accepts(out)
+        == (any(contains(w, b) for b in basis) or any(contains_mesh(w, mp) for mp in meshes))
+    ]
+
+
+_M21 = Machine.sigma((2, 1))
+_HARE = Machine.popstack("hare")
+_TORTOISE = Machine.popstack("tortoise")
+_P123, _P132, _P2341 = (1, 2, 3), (1, 3, 2), (2, 3, 4, 1)
+
+#: (machine, basis, meshes) of the laws the sweeps check.
+_TRUE_LAWS = {
+    "mesh21": (_M21, (_P2341,), (MESH_Z,)),
+    "hare": (_HARE, HARE_BASIS, ()),
+    "tortoise": (_TORTOISE, TORTOISE_BASIS, ()),
+    "class-321": (Machine.sigma((3, 2, 1)), (_P132, _P123), ()),
+    "class-12": (Machine.sigma((1, 2)), ((2, 1, 3),), ()),
+    "class-1342": (Machine.sigma((1, 3, 4, 2)), census._class_targets((1, 3, 4, 2)), ()),
+}
+
+#: Wrong laws: a basis pattern dropped or added, W for Z, Z alone, the
+#: class formula for sigma in {11, 231} (not classes) and 321 without 123.
+_WRONG_LAWS = {
+    "mesh21-W": (_M21, (_P2341,), (MESH_W,)),
+    "mesh21-Z-alone": (_M21, (), (MESH_Z,)),
+    "mesh21-no-mesh": (_M21, (_P2341,), ()),
+    "mesh21-plus-123": (_M21, (_P2341, _P123), (MESH_Z,)),
+    "hare-without-2121": (_HARE, HARE_BASIS[:2], ()),
+    "hare-tortoise-basis": (_HARE, TORTOISE_BASIS, ()),
+    "tortoise-without-231": (_TORTOISE, TORTOISE_BASIS[1:], ()),
+    "tortoise-plus-11": (_TORTOISE, TORTOISE_BASIS + ((1, 1),), ()),
+    "class-11": (Machine.sigma((1, 1)), (_P132, (1, 1)), ()),
+    "class-231": (Machine.sigma((2, 3, 1)), (_P132, (1, 3, 2)), ()),
+    "class-321-without-123": (Machine.sigma((3, 2, 1)), (_P132,), ()),
+}
+
+
+class TestLawWalk:
+    """`_law_walk`, the prefix-tree sweep behind the law checks, against a
+    per-word loop over the machine outputs with `contains` and
+    `contains_mesh`."""
+
+    @pytest.mark.parametrize("law", _TRUE_LAWS.values(), ids=_TRUE_LAWS.keys())
+    def test_true_laws_to_six(self, law):
+        for n in range(7):
+            assert list(census._law_walk(n, *law)) == _per_word_violations(n, *law) == []
+
+    @pytest.mark.parametrize("law", _WRONG_LAWS.values(), ids=_WRONG_LAWS.keys())
+    def test_wrong_laws_to_six(self, law):
+        found = 0
+        for n in range(7):
+            expected = _per_word_violations(n, *law)
+            assert list(census._law_walk(n, *law)) == expected, n
+            found += len(expected)
+        assert found
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_cell_after_the_last_position_is_rejected(self, column):
+        for cells in ({"gap_cells": {(column, 0)}}, {"eq_cells": {(column, 1)}}):
+            mp = CayleyMeshPattern(CayleyPerm((2, 1)), **cells)
+            walk = census._law_walk(3, _M21, (), (mp,))
+            if column == 2:
+                with pytest.raises(ValueError, match="after its last position"):
+                    next(walk, None)
+            else:
+                assert list(walk) == _per_word_violations(3, _M21, (), (mp,))
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,24 @@ import pytest
 
 import cayleysort
 from cayleysort import census
-from cayleysort.cli import build_parser, main
+from cayleysort.cli import EXIT_BROKEN_PIPE, build_parser, main
 from cayleysort.stack import _outputs
+from conftest import corrupt_law_basis
+
+
+def _corrupt_outputs(monkeypatch) -> list[int]:
+    """Make the output sweep give 231 for the input 123; returns the list
+    the lengths of the sweeps are appended to."""
+    real = census._outputs
+    lengths = []
+
+    def corrupted(n, sigmas, flush_all):
+        lengths.append(n)
+        for w, out in real(n, sigmas, flush_all):
+            yield w, ((2, 3, 1) if w == (1, 2, 3) else out)
+
+    monkeypatch.setattr(census, "_outputs", corrupted)
+    return lengths
 
 
 def run(capsys, *argv):
@@ -226,23 +242,17 @@ class TestVerify:
         assert out.splitlines()[-2:] == ["words checked: 93", "PASS"]
 
     @pytest.mark.parametrize(
-        "argv, corrupt",
+        "argv",
         [
-            (("mesh21",), (2, 3, 1)),
-            (("popstack-hare",), (2, 3, 1)),
-            (("popstack-tortoise",), (2, 3, 1)),
-            (("class", "--sigma", "3 2 1"), (1, 2, 3)),
+            ("mesh21",),
+            ("popstack-hare",),
+            ("popstack-tortoise",),
+            ("class", "--sigma", "3 2 1"),
         ],
         ids=["mesh21", "hare", "tortoise", "class"],
     )
-    def test_law_sweep_fail_claims_no_word_count(self, capsys, monkeypatch, argv, corrupt):
-        real = census._outputs
-
-        def corrupted(n, sigmas, flush_all):
-            for w, out in real(n, sigmas, flush_all):
-                yield w, (corrupt if w == (1, 2, 3) else out)
-
-        monkeypatch.setattr(census, "_outputs", corrupted)
+    def test_law_sweep_fail_claims_no_word_count(self, capsys, monkeypatch, argv):
+        corrupt_law_basis(monkeypatch)
         code, out, _ = run(capsys, "verify", *argv, "--n", "4")
         assert code == 1
         assert out.splitlines()[-2:] == ["counterexample: 1 2 3", "FAIL"]
@@ -262,13 +272,7 @@ class TestVerify:
         assert out.splitlines() == [first, "words checked: 93", "PASS"]
 
     def test_sort11_fail_claims_no_word_count(self, capsys, monkeypatch):
-        real = census._outputs
-
-        def corrupted(n, sigmas, flush_all):
-            for w, out in real(n, sigmas, flush_all):
-                yield w, ((2, 3, 1) if w == (1, 2, 3) else out)
-
-        monkeypatch.setattr(census, "_outputs", corrupted)
+        _corrupt_outputs(monkeypatch)
         code, out, _ = run(capsys, "verify", "sort11-equinum", "--n", "4")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
@@ -296,23 +300,15 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, corrupt",
         [
-            (("class", "--sigma", "3 2 1"), (1, 2, 3)),
-            (("involution", "--sigma", "1 1"), (2, 3, 1)),
+            (("class", "--sigma", "3 2 1"), corrupt_law_basis),
+            (("involution", "--sigma", "1 1"), _corrupt_outputs),
         ],
         ids=["class", "involution"],
     )
     def test_failing_sweep_runs_once(self, capsys, monkeypatch, argv, corrupt):
         # the verdict and the counterexample come from one sweep, which
-        # stops in length 3: one output sweep for each length 0..3
-        real = census._outputs
-        lengths = []
-
-        def corrupted(n, sigmas, flush_all):
-            lengths.append(n)
-            for w, out in real(n, sigmas, flush_all):
-                yield w, (corrupt if w == (1, 2, 3) else out)
-
-        monkeypatch.setattr(census, "_outputs", corrupted)
+        # stops in length 3: one law walk or output sweep for each length 0..3
+        lengths = corrupt(monkeypatch)
         code, out, _ = run(capsys, "verify", *argv, "--n", "4")
         assert code == 1
         assert out.splitlines()[-2].startswith("counterexample: ")
@@ -324,13 +320,7 @@ class TestVerify:
         assert "words checked" not in out
 
     def test_class_fail_names_the_first_counterexample(self, capsys, monkeypatch):
-        real = census._outputs
-
-        def corrupted(n, sigmas, flush_all):
-            for w, out in real(n, sigmas, flush_all):
-                yield w, (w if w == (1, 2, 3) else out)
-
-        monkeypatch.setattr(census, "_outputs", corrupted)
+        corrupt_law_basis(monkeypatch)
         code, out, _ = run(capsys, "verify", "class", "--sigma", "3 2 1", "--n", "4")
         assert code == 1
         assert out.splitlines()[-2:] == ["counterexample: 1 2 3", "FAIL"]
@@ -404,6 +394,29 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1 2 3\nSORTABLE\n"
+
+
+def test_closed_pipe_exits_without_traceback():
+    # as in `cayleysort enumerate ... | head -1` once head has exited
+    src = str(Path(cayleysort.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "cayleysort", "enumerate",
+             "--machine", "sigma-machine 2 1", "--n-max", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == EXIT_BROKEN_PIPE == 141
+    assert result.stderr == ""
 
 
 class TestWitness:

@@ -26,7 +26,7 @@ from cayleysort import (
     subpatterns,
 )
 from cayleysort import pattern
-from cayleysort.pattern import _deletions
+from cayleysort.pattern import _creates_mesh, _deletions, _reverse_mesh
 from conftest import random_words, universe, words_up_to
 from reference import (
     brute_contains,
@@ -40,6 +40,15 @@ from reference import (
 #: random patterns up to length 5, for the differential tests.
 _TEXTS = random_words(0, 12, 7)
 _PATTERNS = random_words(0, 5, 5).map(normalize)
+
+#: Random mesh patterns of length 2 to 4 with random gap and eq cells.
+_MESHES = random_words(2, 4, 4).map(normalize).flatmap(
+    lambda tau: st.builds(
+        lambda gap, eq: CayleyMeshPattern(tau, frozenset(gap), frozenset(eq)),
+        st.sets(st.tuples(st.integers(0, len(tau)), st.integers(0, max(tau))), max_size=4),
+        st.sets(st.tuples(st.integers(0, len(tau)), st.integers(1, max(tau))), max_size=3),
+    )
+)
 
 
 class TestContains:
@@ -206,6 +215,28 @@ class TestMeshPattern:
     @given(_TEXTS, st.sampled_from([MESH_W, MESH_Z]))
     def test_random_words_agree_with_definition(self, text, mp):
         assert contains_mesh(text, mp) == brute_contains_mesh(text, mp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS, _MESHES)
+    def test_reverse_mesh_matches_the_reversed_word(self, text, mp):
+        assert contains_mesh(text[::-1], _reverse_mesh(mp)) == brute_contains_mesh(text, mp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_words(1, 12, 7), _MESHES)
+    def test_creates_mesh_finds_the_occurrences_ending_last(self, text, mp):
+        # with no cell after the last position, an occurrence in the prefix
+        # stays one, so the word contains mp exactly when the prefix does
+        # or an occurrence ends at the last letter
+        k = len(mp.tau)
+        mp = CayleyMeshPattern(
+            mp.tau,
+            frozenset(c for c in mp.gap_cells if c[0] < k),
+            frozenset(c for c in mp.eq_cells if c[0] < k),
+        )
+        prefix, x = text[:-1], text[-1]
+        assert brute_contains_mesh(text, mp) == (
+            brute_contains_mesh(prefix, mp) or _creates_mesh(prefix, x, _reverse_mesh(mp))
+        )
 
     def test_z_and_w_agree_on_repetition_free_words(self):
         # equality cells can never fire without repeated letters

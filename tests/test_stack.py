@@ -33,7 +33,10 @@ from cayleysort.stack import (
     Machine,
     _accept,
     _avoids_231,
+    _creates_occurrence,
+    _may_sort,
     _outputs,
+    _pops,
     _run_word,
 )
 from conftest import SIGMA_PANEL16, random_words, universe, words_up_to
@@ -216,6 +219,30 @@ class TestAccept:
         avoids = not brute_contains(word, (2, 3, 1))
         for sigma in [(2, 1), (1, 1), (2, 3, 1)]:
             assert Machine.sigma(sigma).accepts(word) == _avoids_231(word) == avoids
+
+
+class TestMaySort:
+    """`_may_sort`, the lookahead of the law walk, replayed edge by edge on
+    every word: a node it declares dead has no sortable completion, and at
+    a leaf it is the exact test."""
+
+    @pytest.mark.parametrize("sigmas, flush_all", _SWEEP_MACHINES, ids=_SWEEP_IDS)
+    def test_dead_nodes_have_no_sortable_completion_to_six(self, sigmas, flush_all):
+        machine = Machine("under test", sigmas, flush_all)
+        for w in words_up_to(6, start=1):
+            sortable = machine.accepts(_run_word(w, sigmas, flush_all))
+            stack, state = [], (0, ())
+            for x in w:
+                if stack and _creates_occurrence(stack, x, sigmas):
+                    state = _accept(state, _pops(stack, x, sigmas, flush_all), flush_all)
+                    if state is None:
+                        assert not sortable, w
+                        break
+                alive = _may_sort(state, stack, x, flush_all)
+                assert alive or not sortable, w
+                stack.append(x)
+            else:
+                assert alive == sortable, w
 
 
 class TestSSigma:
