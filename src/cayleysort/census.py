@@ -14,7 +14,6 @@ import math
 from itertools import pairwise
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
@@ -101,7 +100,9 @@ def sortable_predicate(machine: str) -> Callable[[CayleyPerm], bool]:
 class SequenceReport:
     """Counting sequence of one census, with the universe sizes alongside.
 
-    Per length, `visited` counts the words the census walk reached and
+    Per length, `visited` counts the words whose run reached the last
+    letter with no popped letter failing `_accept` (each word once, also
+    where the census walk took its subtree's totals from the memo), and
     `pruned` the words it counted in closed form; they sum to the universe.
     """
 
@@ -162,41 +163,79 @@ def _walk(n: int, first: int, machine: Machine):
     counted by `_completions` unvisited.  At a leaf the stack is flushed
     through the same test.
 
-    Returns (visited, pruned, by_blocks): the leaves reached, the words
-    counted in closed form, and the sortable words keyed by their number of
-    maximal strictly decreasing blocks (the tortoise refinement).
+    The subtree below a node depends only on the node's state: the letters
+    to come, the maximum, the unused values, the stack and the `_accept`
+    state (the last letter, which decides where a tortoise block starts,
+    is the top of the stack).  So each state's totals are computed once
+    and memoised, for the nodes with at least two letters to come; the
+    memo lives for this one call and is emptied before it returns.
+
+    Returns (visited, pruned, by_blocks): the leaves reached, counting
+    each once also where its totals came from the memo; the words counted
+    in closed form; and the sortable words keyed by their number of
+    maximal strictly decreasing blocks.  Only the tortoise counts blocks
+    (its refinement); every other machine files all its sortable words
+    under the key None.
     """
     sigmas, flush_all = machine.patterns, machine.flush_all
-    by_blocks: dict[int, int] = {}
-    visited = pruned = 0
+    refine = machine == _TORTOISE
+    memo: dict[tuple, tuple] = {}
 
-    def descend(left, children, stack, state, prev, blocks):
-        """Visit `children`, the nodes with `left - 1` letters to come."""
-        nonlocal visited, pruned
+    def descend(left, children, stack, state):
+        """Totals (visited, pruned, sortable) below a node with `left`
+        letters to come, whose children are `children`.  For the tortoise
+        `sortable` is a tuple indexed by the blocks started below the node;
+        otherwise it is a count."""
+        visited = pruned = 0
+        sortable = [0] * (left + 1) if refine else 0
+        prev = stack[-1] if stack else 0
         for v, top, unused in children:
-            st = stack[:]
             child = state
-            if st and _creates_occurrence(st, v, sigmas):
+            if stack and _creates_occurrence(stack, v, sigmas):
+                st = list(stack)
                 child = _accept(state, _pops(st, v, sigmas, flush_all), flush_all)
                 if child is None:
                     pruned += _completions(left - 1, top, unused)
                     continue
-            st.append(v)
-            k = blocks + (prev <= v)
-            if left > 1:
-                descend(left - 1, _children(left - 1, top, unused), st, child, v, k)
+                st = (*st, v)
             else:
+                st = (*stack, v)
+            if left == 1:
                 visited += 1
                 if _accept(child, st[::-1], flush_all) is not None:
-                    by_blocks[k] = by_blocks.get(k, 0) + 1
+                    if refine:
+                        sortable[prev <= v] += 1
+                    else:
+                        sortable += 1
+                continue
+            if left == 2:
+                got = descend(1, _children(1, top, unused), st, child)
+            else:
+                key = left - 1, top, unused, st, child
+                got = memo.get(key)
+                if got is None:
+                    kids = _children(left - 1, top, unused)
+                    got = memo[key] = descend(left - 1, kids, st, child)
+            visited += got[0]
+            pruned += got[1]
+            if refine:
+                for k, c in enumerate(got[2], prev <= v):
+                    sortable[k] += c
+            else:
+                sortable += got[2]
+        return visited, pruned, tuple(sortable) if refine else sortable
 
-    descend(n, [c for c in _children(n, 0, 0) if c[0] == first], [], (0, ()), 0, 0)
-    return visited, pruned, by_blocks
+    root = [c for c in _children(n, 0, 0) if c[0] == first]
+    visited, pruned, sortable = descend(n, root, (), (0, ()))
+    memo.clear()  # descend refers to itself, so the memo would outlive the call
+    if refine:
+        return visited, pruned, {k: c for k, c in enumerate(sortable) if c}
+    return visited, pruned, {None: sortable}
 
 
-def _shard_counts(args: tuple[Machine, int, int]) -> tuple[int, int, int, dict[int, int]]:
+def _shard_counts(args: tuple[Machine, int, int]) -> tuple[int, int, int, dict]:
     """Walk the length-n inputs that start with `first`: (n, visited,
-    pruned, sortable words by tortoise block count)."""
+    pruned, sortable words by tortoise block count, see `_walk`)."""
     machine, n, first = args
     return n, *_walk(n, first, machine)
 
@@ -231,6 +270,9 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     # a pool starts all its workers at once, so never more than the shards
     workers = min(threads, len(jobs))
     if workers > 1:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_shard_counts, jobs))
     else:
@@ -239,8 +281,9 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
         visited[n] = visited.get(n, 0) + shard_visited
         pruned[n] = pruned.get(n, 0) + shard_pruned
         counts[n] = counts.get(n, 0) + sum(by_blocks.values())
-        for k, c in by_blocks.items():
-            refined[n, k] = refined.get((n, k), 0) + c
+        if refine:
+            for k, c in by_blocks.items():
+                refined[n, k] = refined.get((n, k), 0) + c
     return SequenceReport(
         machine=m.name,
         counts=counts,

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from .core import Word
-from .stack import PUSH, SINGLE, StackConfig, run_stack
+from .stack import PUSH, _as_letters, _run_word, _sigma_letters
+
+# Not called here (`encode` runs the engine directly); kept because
+# perfbench/tracer.py wraps dyck.run_stack by name.
+from .stack import run_stack  # noqa: F401
 
 U = "U"
 D = "D"
@@ -76,11 +80,10 @@ def encode(p: Iterable[int], sigma: Iterable[int]) -> LabeledDyckPath:
     Up labels spell p, down labels spell s_sigma(p); the paired labels agree
     because the stack is last-in first-out.
     """
-    sig = sigma  # validated by StackConfig
-    trace = run_stack(p, StackConfig(frozenset({tuple(sig)}), SINGLE))
-    return LabeledDyckPath(
-        tuple((U if kind == PUSH else D, v) for kind, v in trace.events)
-    )
+    sigmas = (_sigma_letters(sigma),)
+    events: list[tuple[str, int]] = []
+    _run_word(_as_letters(p), sigmas, False, events)
+    return LabeledDyckPath(tuple((U if kind == PUSH else D, v) for kind, v in events))
 
 
 def up_labels(path: LabeledDyckPath) -> Word:

@@ -11,7 +11,9 @@ regions around an occurrence; see CayleyMeshPattern for the cell convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -199,33 +201,42 @@ MESH_Z = CayleyMeshPattern(
 )
 
 
+@functools.lru_cache(maxsize=128)  # bounded: contains_mesh takes any pattern
+def _mesh_cells(mp: CayleyMeshPattern) -> tuple[int, tuple[tuple[int, bool, int, int], ...]]:
+    """The text-independent part of mp's cell check, built once per pattern:
+    len(mp.tau) and, per cell, (i, is_eq, lo, hi).  lo and hi are the
+    indices into the occurrence of the values that bound the cell (the
+    first position of mp.tau holding each), -1 where it is unbounded; an
+    eq cell has lo == hi, the value it may not repeat."""
+    tau = mp.tau
+    m = tau.max_letter
+    first = {v: tau.index(v) for v in range(1, m + 1)}
+    cells = [
+        (i, False, first[j] if j > 0 else -1, first[j + 1] if j < m else -1)
+        for i, j in sorted(mp.gap_cells)
+    ]
+    cells += [(i, True, first[v], first[v]) for i, v in sorted(mp.eq_cells)]
+    return len(tau), tuple(cells)
+
+
 def _cells_clear(text: Sequence[int], mp: CayleyMeshPattern) -> Callable[[list[int]], bool]:
     """The cell check of mp on `text`: does the occurrence of mp.tau at the
     0-based positions `pos` leave every cell of mp empty?"""
-    tau = mp.tau
-    k = len(tau)
-    m = tau.max_letter
+    k, cells = _mesh_cells(mp)
     n = len(text)
-    cells = [(i, j, False) for i, j in mp.gap_cells] + [
-        (i, v, True) for i, v in mp.eq_cells
-    ]
 
     def clear(pos: list[int]) -> bool:
-        image = {tau[t]: text[pos[t]] for t in range(k)}
-        for i, j, is_eq in cells:
-            lo = pos[i - 1] if i >= 1 else -1
-            hi = pos[i] if i <= k - 1 else n
-            for q in range(lo + 1, hi):
-                v = text[q]
-                if is_eq:
-                    bad = v == image[j]
-                elif j == 0:
-                    bad = v < image[1]
-                elif j == m:
-                    bad = v > image[m]
-                else:
-                    bad = image[j] < v < image[j + 1]
-                if bad:
+        for i, is_eq, lo_t, hi_t in cells:
+            start = pos[i - 1] + 1 if i >= 1 else 0
+            region = text[start : pos[i] if i < k else n]
+            if is_eq:
+                if text[pos[lo_t]] in region:
+                    return False
+                continue
+            a = text[pos[lo_t]] if lo_t >= 0 else -math.inf
+            b = text[pos[hi_t]] if hi_t >= 0 else math.inf
+            for v in region:
+                if a < v < b:
                     return False
         return True
 

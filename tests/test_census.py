@@ -1,6 +1,10 @@
 """Censuses, classness verdicts, witnesses, and the verification laws."""
 
+import concurrent.futures
 import dataclasses
+import gc
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,13 +43,14 @@ from cayleysort import (
 )
 from cayleysort import census
 from cayleysort.census import (
+    _TORTOISE,
     WITNESS_TABLE,
     _search_witness,
     _shard_counts,
     _word_sortable,
 )
 from cayleysort.core import _iter_letters, fubini_numbers
-from cayleysort.stack import Machine, _avoids_231, _outputs, _run_word
+from cayleysort.stack import PUSH, Machine, _avoids_231, _outputs, _run_word
 from conftest import corrupt_law_basis, universe, words_up_to
 from reference import brute_contains, naive_machine
 
@@ -144,7 +149,8 @@ class TestCountSortable:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        # count_sortable imports the pool class from its module only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         strip = lambda r: dataclasses.replace(r, elapsed=0.0)
         report = count_sortable("popstack hare", n_max, threads=threads)
         assert strip(report) == strip(count_sortable("popstack hare", n_max))
@@ -408,8 +414,73 @@ def _assert_walk_matches_sweep(machine, n_max):
         assert report.refined == refined
 
 
+@lru_cache(maxsize=None)
+def _shard_words(n, first):
+    return [w for w in universe(n) if w[0] == first]
+
+
+def _per_word_shard(machine, n, first):
+    """(visited, pruned, by_blocks) of the length-n words starting with
+    `first`, one run per word.  A word is visited when the letters popped
+    before the final flush pass `Machine.accepts`; the tortoise's sortable
+    words are keyed by block count, every other machine's by None."""
+    visited = pruned = 0
+    by_blocks = {} if machine == _TORTOISE else {None: 0}
+    for w in _shard_words(n, first):
+        events = []
+        out = _run_word(w, machine.patterns, machine.flush_all, events)
+        flushed = next(i for i, (kind, _) in enumerate(reversed(events)) if kind == PUSH)
+        if not machine.accepts(out[: len(out) - flushed]):
+            pruned += 1
+            continue
+        visited += 1
+        if machine.accepts(out):
+            k = len(tortoise_blocks(w)) if machine == _TORTOISE else None
+            by_blocks[k] = by_blocks.get(k, 0) + 1
+    return visited, pruned, by_blocks
+
+
+def _assert_shards_match_per_word_runs(machine, n_max):
+    for n in range(1, n_max + 1):
+        for first in range(1, n + 1):
+            assert census._walk(n, first, machine) == _per_word_shard(machine, n, first), (
+                machine.name, n, first,
+            )
+
+
 class TestCensusWalk:
     """The prefix-tree walk behind count_sortable against per-word sweeps."""
+
+    def test_memoised_shards_sigma_panel_to_six(self):
+        for sigma in sigma_panel():
+            _assert_shards_match_per_word_runs(Machine.sigma(sigma), 6)
+
+    @pytest.mark.parametrize(
+        "machine",
+        [Machine.sigma((2, 1)), Machine.sigma((3, 2, 1)), Machine.sigma((2, 2, 1, 3)),
+         Machine.popstack("hare"), _TORTOISE],
+        ids=lambda m: m.name,
+    )
+    def test_memoised_shards_to_seven(self, machine):
+        _assert_shards_match_per_word_runs(machine, 7)
+
+    def test_walk_keeps_no_memo(self):
+        # descend refers to itself, so only emptying the memo frees it
+        # without a gc pass
+        machine = Machine.sigma((2, 1))
+        for first in range(1, 8):
+            census._walk(7, first, machine)  # fill the shared letter tables
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for first in range(1, 8):
+                census._walk(7, first, machine)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert after - before < 64 * 1024
 
     def test_sigma_panel_to_five(self):
         for sigma in sigma_panel():

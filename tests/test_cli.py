@@ -419,6 +419,25 @@ def test_closed_pipe_exits_without_traceback():
     assert result.stderr == ""
 
 
+def test_serial_run_loads_no_process_pool():
+    # the pool module pulls in multiprocessing; only --threads > 1 needs it
+    src = str(Path(cayleysort.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, cayleysort.cli\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "cayleysort.cli.main(['enumerate', '--machine', 'popstack hare', '--n-max', '3'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == lines[-1] == "False"
+
+
 class TestWitness:
     def test_table_pair(self, capsys):
         code, out, _ = run(capsys, "witness", "--sigma", "2 3 1")
