@@ -166,27 +166,28 @@ def _walk(n: int, first: int, machine: Machine):
     The subtree below a node depends only on the node's state: the letters
     to come, the maximum, the unused values, the stack and the `_accept`
     state (the last letter, which decides where a tortoise block starts,
-    is the top of the stack).  So each state's totals are computed once
-    and memoised, for the nodes with at least two letters to come; the
-    memo lives for this one call and is emptied before it returns.
+    is the top of the stack).  So each state's totals (pruned, sortable)
+    are computed once and memoised, for the nodes with at least two letters
+    to come; the memo lives for this one call and is emptied before it
+    returns.
 
-    Returns (visited, pruned, by_blocks): the leaves reached, counting
-    each once also where its totals came from the memo; the words counted
-    in closed form; and the sortable words keyed by their number of
-    maximal strictly decreasing blocks.  Only the tortoise counts blocks
-    (its refinement); every other machine files all its sortable words
-    under the key None.
+    Returns (visited, pruned, by_blocks): the leaves reached, each counted
+    once also where its totals came from the memo, which are the shard's
+    `_completions` less the pruned words; the words counted in closed form;
+    and the sortable words keyed by their number of maximal strictly
+    decreasing blocks.  Only the tortoise counts blocks (its refinement);
+    every other machine files all its sortable words under the key None.
     """
     sigmas, flush_all = machine.patterns, machine.flush_all
     refine = machine == _TORTOISE
     memo: dict[tuple, tuple] = {}
 
     def descend(left, children, stack, state):
-        """Totals (visited, pruned, sortable) below a node with `left`
-        letters to come, whose children are `children`.  For the tortoise
-        `sortable` is a tuple indexed by the blocks started below the node;
-        otherwise it is a count."""
-        visited = pruned = 0
+        """Totals (pruned, sortable) below a node with `left` letters to
+        come, whose children are `children`.  For the tortoise `sortable`
+        is a tuple indexed by the blocks started below the node; otherwise
+        it is a count."""
+        pruned = 0
         sortable = [0] * (left + 1) if refine else 0
         prev = stack[-1] if stack else 0
         for v, top, unused in children:
@@ -201,7 +202,6 @@ def _walk(n: int, first: int, machine: Machine):
             else:
                 st = (*stack, v)
             if left == 1:
-                visited += 1
                 if _accept(child, st[::-1], flush_all) is not None:
                     if refine:
                         sortable[prev <= v] += 1
@@ -216,18 +216,18 @@ def _walk(n: int, first: int, machine: Machine):
                 if got is None:
                     kids = _children(left - 1, top, unused)
                     got = memo[key] = descend(left - 1, kids, st, child)
-            visited += got[0]
-            pruned += got[1]
+            pruned += got[0]
             if refine:
-                for k, c in enumerate(got[2], prev <= v):
+                for k, c in enumerate(got[1], prev <= v):
                     sortable[k] += c
             else:
-                sortable += got[2]
-        return visited, pruned, tuple(sortable) if refine else sortable
+                sortable += got[1]
+        return pruned, tuple(sortable) if refine else sortable
 
     root = [c for c in _children(n, 0, 0) if c[0] == first]
-    visited, pruned, sortable = descend(n, root, (), (0, ()))
+    pruned, sortable = descend(n, root, (), (0, ()))
     memo.clear()  # descend refers to itself, so the memo would outlive the call
+    visited = sum(_completions(n - 1, top, unused) for _, top, unused in root) - pruned
     if refine:
         return visited, pruned, {k: c for k, c in enumerate(sortable) if c}
     return visited, pruned, {None: sortable}
@@ -305,12 +305,23 @@ def tortoise_refined(n: int) -> dict[int, int]:
         for k, c in _walk(n, first, _TORTOISE)[2].items():
             refined[k] = refined.get(k, 0) + c
     expected = {k: math.comb(n - 1, k - 1) * 2 ** (k - 1) for k in range(1, n + 1)}
-    expected = {k: v for k, v in expected.items() if v}
     if n >= 1 and refined != expected:
         raise VerificationError(
             f"refined tortoise counts at n={n} are {refined}, formula gives {expected}"
         )
     return refined
+
+
+def tortoise_refined_mismatch(n_max: int) -> str | None:
+    """The first length 1..n_max whose refined tortoise counts miss the
+    binomial formula (see `tortoise_refined`), as a message; None if none."""
+    _check_limit(n_max, census_limit(), "census")
+    try:
+        for n in range(1, n_max + 1):
+            tortoise_refined(n)
+    except VerificationError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +390,15 @@ def _law_walk(
 
     if n:
         yield from descend(n, 0, 0, [], (0, ()), False)
+
+
+def _law_violations(n_max: int, machine: Machine, basis, meshes=()) -> Iterator[CayleyPerm]:
+    """Counterexamples to Sort(machine) = Av(basis, meshes) of length
+    <= n_max, shortest first: `_law_walk` on each length."""
+    _check_limit(n_max, census_limit(), "census")
+    for n in range(n_max + 1):
+        for w in _law_walk(n, machine, basis, meshes):
+            yield _wrap(w)
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +550,10 @@ def class_violations(sigma, n_max: int) -> Iterator[CayleyPerm]:
     with avoiding the patterns of `_class_targets`.  Raises ValueError when
     Sort(sigma) is not predicted to be a class."""
     sig = _sigma_letters(sigma)
-    _check_limit(n_max, census_limit(), "census")
     targets = _class_targets(sig)
     if targets is None:
         raise ValueError(f"Sort({_wrap(sig)}) is not an avoidance class")
-    machine = Machine.sigma(sig)
-    for n in range(n_max + 1):
-        for w in _law_walk(n, machine, targets):
-            yield _wrap(w)
+    yield from _law_violations(n_max, Machine.sigma(sig), targets)
 
 
 def verify_class(sigma, n_max: int) -> ClassVerdict:
@@ -564,24 +580,20 @@ def verify_class(sigma, n_max: int) -> ClassVerdict:
 
 def sigma_panel() -> list[CayleyPerm]:
     """All 91 Cayley permutations of lengths 2..4, the sweep panel."""
-    panel: list[CayleyPerm] = []
-    for n in (2, 3, 4):
-        panel.extend(generate_all(n))
-    return panel
+    return [p for n in (2, 3, 4) for p in generate_all(n)]
 
 
 # ---------------------------------------------------------------------------
-# Law checks.  Each verify_* returns a bool; the *_violations generators
-# stream counterexamples for reporting.
+# Law checks.  Each law is decided once, by a *_violations stream of
+# counterexamples or a function that returns the counts and what they
+# should be; the verify_* bool is a view of that decision, and the CLI
+# reports from the same call.
 
 
 def mesh21_violations(n_max: int) -> Iterator[CayleyPerm]:
     """Inputs where 21-machine sortability disagrees with "avoids 2341 and
     does not contain the mesh pattern Z"."""
-    _check_limit(n_max, census_limit(), "census")
-    for n in range(n_max + 1):
-        for w in _law_walk(n, _MACHINE_21, (_P2341,), (MESH_Z,)):
-            yield _wrap(w)
+    return _law_violations(n_max, _MACHINE_21, (_P2341,), (MESH_Z,))
 
 
 def verify_21_machine_mesh(n_max: int) -> bool:
@@ -674,40 +686,39 @@ def sort11_equinumerosity(n_max: int) -> bool:
 
 def popstack_violations(mode: str, n_max: int) -> Iterator[CayleyPerm]:
     """Inputs where pop-stack sortability disagrees with its avoidance basis."""
-    _check_limit(n_max, census_limit(), "census")
-    machine = Machine.popstack(mode)
-    for n in range(n_max + 1):
-        for w in _law_walk(n, machine, _POPSTACK_BASES[mode]):
-            yield _wrap(w)
+    return _law_violations(n_max, Machine.popstack(mode), _POPSTACK_BASES[mode])
 
 
 def verify_popstack_characterization(mode: str, n_max: int) -> bool:
     return next(popstack_violations(mode, n_max), None) is None
 
 
+def tortoise_counts(n_max: int) -> tuple[list[int], list[int]]:
+    """Tortoise-sortable counts for n = 1..n_max, and the 3^(n-1) expected."""
+    counts = count_sortable("popstack tortoise", n_max).count_list()
+    return counts, [3 ** (n - 1) for n in range(1, n_max + 1)]
+
+
 def verify_tortoise_count(n_max: int) -> bool:
     """Tortoise-sortable counts equal 3^(n-1) for n = 1..n_max."""
-    report = count_sortable("popstack tortoise", n_max)
-    return all(report.counts[n] == 3 ** (n - 1) for n in range(1, n_max + 1))
+    counts, expected = tortoise_counts(n_max)
+    return counts == expected
 
 
 def verify_tortoise_refined(n_max: int) -> bool:
     """Refined tortoise counts match the binomial formula for n = 1..n_max."""
-    _check_limit(n_max, census_limit(), "census")
-    try:
-        for n in range(1, n_max + 1):
-            tortoise_refined(n)
-    except VerificationError:
-        return False
-    return True
+    return tortoise_refined_mismatch(n_max) is None
 
 
-def generation_counts(n_max: int) -> list[int]:
-    """The number of words generation yields at each length 0..n_max."""
+def fubini_counts(n_max: int) -> tuple[list[int], list[int]]:
+    """The number of words generation yields at each length 0..n_max, and
+    the Fubini numbers (the ordered-set-partition recurrence) expected."""
     _check_limit(n_max, census_limit(), "census")
-    return [sum(1 for _ in _iter_letters(n)) for n in range(n_max + 1)]
+    counts = [sum(1 for _ in _iter_letters(n)) for n in range(n_max + 1)]
+    return counts, fubini_numbers(n_max)
 
 
 def verify_fubini(n_max: int) -> bool:
     """Generation agrees with the ordered-set-partition recurrence."""
-    return generation_counts(n_max) == fubini_numbers(n_max)
+    counts, expected = fubini_counts(n_max)
+    return counts == expected

@@ -351,6 +351,25 @@ class TestVerify:
         assert code == 2
         assert "--sigma" in err
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "mesh21",
+            "popstack-hare",
+            "popstack-tortoise",
+            "tortoise-count",
+            "tortoise-refined",
+            "sort11-equinum",
+            "fubini",
+        ],
+    )
+    def test_sigma_is_usage_error_where_not_taken(self, capsys, target):
+        # a malformed sigma too: the target's table entry rejects it unread
+        code, out, err = run(capsys, "verify", target, "--sigma", "2", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: verify {target} takes no --sigma\n"
+
     def test_unknown_target_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "everything"])
@@ -360,6 +379,92 @@ class TestVerify:
             "'bijectivity', 'involution', 'popstack-hare', 'popstack-tortoise', "
             "'tortoise-count', 'tortoise-refined', 'sort11-equinum', 'fubini')\n"
         )
+
+
+# verify target -> (the library's verdict, its counterexample stream or
+# None), each called with the sigma (None for a target without --sigma) and n
+_LIBRARY = {
+    "class": (
+        lambda s, n: census.verify_class(s, n).equality_holds,
+        lambda s, n: census.class_violations(s, n),
+    ),
+    "mesh21": (
+        lambda s, n: census.verify_21_machine_mesh(n),
+        lambda s, n: census.mesh21_violations(n),
+    ),
+    "bijectivity": (lambda s, n: census.verify_bijectivity(s, n), None),
+    "involution": (
+        lambda s, n: census.verify_involution(s, n),
+        lambda s, n: census.involution_violations(s, n),
+    ),
+    "popstack-hare": (
+        lambda s, n: census.verify_popstack_characterization("hare", n),
+        lambda s, n: census.popstack_violations("hare", n),
+    ),
+    "popstack-tortoise": (
+        lambda s, n: census.verify_popstack_characterization("tortoise", n),
+        lambda s, n: census.popstack_violations("tortoise", n),
+    ),
+    "tortoise-count": (lambda s, n: census.verify_tortoise_count(n), None),
+    "tortoise-refined": (lambda s, n: census.verify_tortoise_refined(n), None),
+    "sort11-equinum": (lambda s, n: census.sort11_equinumerosity(n), None),
+    "fubini": (lambda s, n: census.verify_fubini(n), None),
+}
+# a predicted class, a non-class, and unequal first letters (a non-class
+# whose involution law fails from length 2 on)
+_SIGMAS = ("3 2 1", "1 1", "2 1")
+
+
+def _verify_argv(target, sigma, n):
+    return ["verify", target, "--n", str(n)] + ([] if sigma is None else ["--sigma", sigma])
+
+
+@pytest.mark.filterwarnings("ignore:candidate witness")
+@pytest.mark.parametrize(
+    "target, sigma, n",
+    [
+        (target, sigma, n)
+        for target in _LIBRARY
+        for sigma in (_SIGMAS if target in ("class", "bijectivity", "involution") else (None,))
+        for n in range(5)
+    ],
+)
+def test_cli_verdict_is_the_library_verdict(capsys, target, sigma, n):
+    code = main(_verify_argv(target, sigma, n))
+    capsys.readouterr()
+    verdict, _ = _LIBRARY[target]
+    assert code == (0 if verdict(sigma and cayleysort.CayleyPerm.parse(sigma), n) else 1)
+
+
+@pytest.mark.parametrize(
+    "target, sigma",
+    [
+        ("class", "3 2 1"),
+        ("mesh21", None),
+        ("popstack-hare", None),
+        ("popstack-tortoise", None),
+        ("involution", "2 1"),
+    ],
+)
+def test_cli_counterexample_is_the_first_violation(capsys, monkeypatch, target, sigma):
+    corrupt_law_basis(monkeypatch)
+    code, out, _ = run(capsys, *_verify_argv(target, sigma, 4))
+    _, violations = _LIBRARY[target]
+    bad = next(violations(sigma and cayleysort.CayleyPerm.parse(sigma), 4))
+    assert code == 1
+    assert out.splitlines()[-2:] == [f"counterexample: {bad}", "FAIL"]
+
+
+@pytest.mark.parametrize("mode", ["hare", "tortoise"])
+def test_popstack_target_sweeps_its_own_machine(capsys, monkeypatch, mode):
+    # both laws hold, so only the mode the sweep is asked for tells them apart
+    real, modes = census.popstack_violations, []
+    monkeypatch.setattr(
+        census, "popstack_violations", lambda m, n: modes.append(m) or real(m, n)
+    )
+    code, _, _ = run(capsys, "verify", f"popstack-{mode}", "--n", "3")
+    assert code == 0
+    assert modes == [mode]
 
 
 @pytest.mark.parametrize(
