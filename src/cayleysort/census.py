@@ -42,14 +42,12 @@ from .stack import (
     HARE,
     TORTOISE,
     Machine,
-    _accept,
     _avoids_231,
     _creates_occurrence,
-    _may_sort,
     _outputs,
-    _pops,
     _run_word,
     _sigma_letters,
+    _step,
 )
 
 # Not called here (the census walk counts blocks itself, the law sweeps
@@ -100,10 +98,11 @@ def sortable_predicate(machine: str) -> Callable[[CayleyPerm], bool]:
 class SequenceReport:
     """Counting sequence of one census, with the universe sizes alongside.
 
-    Per length, `visited` counts the words whose run reached the last
-    letter with no popped letter failing `_accept` (each word once, also
-    where the census walk took its subtree's totals from the memo), and
-    `pruned` the words it counted in closed form; they sum to the universe.
+    Per length, `visited` counts the words the census walk reached as
+    leaves, which are exactly the sortable ones, so it equals `counts`
+    (each word once, also where the walk took its subtree's totals from the
+    memo), and `pruned` the words it counted in closed form; they sum to
+    the universe.
     """
 
     machine: str
@@ -156,12 +155,11 @@ def _walk(n: int, first: int, machine: Machine):
 
     The tree is read off the `_children` table, so letters are tried as
     `_iter_letters` tries them; the root edge is the `first` child of the
-    empty prefix.  Each node also carries the stack content and the state
-    of `_accept` on the letters popped so far: each edge that cannot push
-    its letter feeds what `_pops` pops to it.  Popped letters are final, so
-    once they fail the test no completion is sortable, and the subtree is
-    counted by `_completions` unvisited.  At a leaf the stack is flushed
-    through the same test.
+    empty prefix.  Each node carries the stack content and the state of
+    `_accept` on the letters popped so far, and each edge advances them by
+    one `stack._step`.  When the step finds that no completion is sortable,
+    the subtree is counted by `_completions` unvisited.  The step's test is
+    exact at a leaf, so every leaf reached is sortable.
 
     The subtree below a node depends only on the node's state: the letters
     to come, the maximum, the unused values, the stack and the `_accept`
@@ -171,12 +169,13 @@ def _walk(n: int, first: int, machine: Machine):
     to come; the memo lives for this one call and is emptied before it
     returns.
 
-    Returns (visited, pruned, by_blocks): the leaves reached, each counted
-    once also where its totals came from the memo, which are the shard's
-    `_completions` less the pruned words; the words counted in closed form;
-    and the sortable words keyed by their number of maximal strictly
-    decreasing blocks.  Only the tortoise counts blocks (its refinement);
-    every other machine files all its sortable words under the key None.
+    Returns (visited, pruned, by_blocks): the leaves reached, which are the
+    sortable words (each counted once also where its totals came from the
+    memo, as the shard's `_completions` less the pruned words); the words
+    counted in closed form; and the sortable words keyed by their number of
+    maximal strictly decreasing blocks.  Only the tortoise counts blocks
+    (its refinement); every other machine files all its sortable words
+    under the key None.
     """
     sigmas, flush_all = machine.patterns, machine.flush_all
     refine = machine == _TORTOISE
@@ -191,31 +190,24 @@ def _walk(n: int, first: int, machine: Machine):
         sortable = [0] * (left + 1) if refine else 0
         prev = stack[-1] if stack else 0
         for v, top, unused in children:
-            child = state
-            if stack and _creates_occurrence(stack, v, sigmas):
-                st = list(stack)
-                child = _accept(state, _pops(st, v, sigmas, flush_all), flush_all)
-                if child is None:
-                    pruned += _completions(left - 1, top, unused)
-                    continue
-                st = (*st, v)
-            else:
-                st = (*stack, v)
+            child = _step(stack, state, v, sigmas, flush_all)
+            if child is None:
+                pruned += _completions(left - 1, top, unused)
+                continue
             if left == 1:
-                if _accept(child, st[::-1], flush_all) is not None:
-                    if refine:
-                        sortable[prev <= v] += 1
-                    else:
-                        sortable += 1
+                if refine:
+                    sortable[prev <= v] += 1
+                else:
+                    sortable += 1
                 continue
             if left == 2:
-                got = descend(1, _children(1, top, unused), st, child)
+                got = descend(1, _children(1, top, unused), *child)
             else:
-                key = left - 1, top, unused, st, child
+                key = left - 1, top, unused, child
                 got = memo.get(key)
                 if got is None:
                     kids = _children(left - 1, top, unused)
-                    got = memo[key] = descend(left - 1, kids, st, child)
+                    got = memo[key] = descend(left - 1, kids, *child)
             pruned += got[0]
             if refine:
                 for k, c in enumerate(got[1], prev <= v):
@@ -245,16 +237,17 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
 
     `machine` is a descriptor (see `Machine.parse`); the report names it in
     canonical form.  One walk of the prefix tree of Cayley permutations per
-    length (see `_walk`) runs the first stack once per tree edge and tests
-    the popped letters with `_accept`, the resumable `Machine.accepts`, as
-    they leave it.  Popped letters are final, so a prefix whose output
-    already fails is never extended: its completions join the universe in
-    closed form and are recorded as pruned.  The per-word predicate `_word_sortable` is the
-    oracle the tests compare the walk against.  With threads > 1 each
-    length is sharded by leading letter over a process pool of at most one
-    worker per shard; counts are summed, so the report does not depend on
-    the parallelism degree.  Only the tortoise report carries the
-    block-count refinement.
+    length (see `_walk`) runs the first stack once per tree edge
+    (`stack._step`), which tests the popped letters followed by the stack
+    read top to bottom with `_accept`, the resumable `Machine.accepts`.
+    That sequence is a subsequence of every completion's output, so a
+    prefix that fails it is never extended: its completions join the
+    universe in closed form and are recorded as pruned.  The tests compare
+    the walk against one run of the machine per word (`_run_word`).  With
+    threads > 1 each length is sharded by leading letter over a process
+    pool of at most one worker per shard; counts are summed, so the report
+    does not depend on the parallelism degree.  Only the tortoise report
+    carries the block-count refinement.
     """
     m = Machine.parse(machine)
     _check_limit(n_max, census_limit(), "census")
@@ -339,7 +332,9 @@ def _law_walk(
     `meshes`": the counterexamples to Sort(machine) = Av(basis, meshes).
 
     Walks the prefix tree down the `_children` table as `_outputs` does,
-    one machine step per edge.  Each node also carries whether its prefix
+    one `stack._step` per edge.  A node carries the machine's (stack,
+    `_accept` state), or None once a step has found that no completion is
+    sorted: the machine is then dead.  It also carries whether its prefix
     is blocked (contains a pattern).  Containment only grows along a
     branch, so an unblocked node asks only whether its new letter
     completes an occurrence as its last letter: the reversed pattern with
@@ -347,10 +342,9 @@ def _law_walk(
     fails for a mesh pattern with a cell after its last position, which
     later letters can fill, so such a pattern raises ValueError.
 
-    The machine is dead once its popped letters fail `_accept` or
-    `_may_sort` finds that no completion is sorted.  A node that is dead
-    and blocked is settled: every leaf below it is unsortable and blocked,
-    so none is a counterexample, and its subtree is skipped unvisited.
+    A node that is dead and blocked is settled: every leaf below it is
+    unsortable and blocked, so none is a counterexample, and its subtree is
+    skipped unvisited.
     """
     for mp in meshes:
         if any(i == len(mp.tau) for i, _ in mp.gap_cells | mp.eq_cells):
@@ -360,36 +354,25 @@ def _law_walk(
     reversed_meshes = tuple(_reverse_mesh(mp) for mp in meshes)
     word: list[int] = []
 
-    def descend(left, top, unused, stack, state, blocked):
+    def descend(left, top, unused, node, blocked):
         for v, t, u in _children(left, top, unused):
             hit = (
                 blocked
                 or _creates_occurrence(word, v, reversed_basis)
                 or any(_creates_mesh(word, v, rmp) for rmp in reversed_meshes)
             )
-            st, child = stack, state
-            if child is not None:
-                if st and _creates_occurrence(st, v, sigmas):
-                    st = st[:]
-                    child = _accept(child, _pops(st, v, sigmas, flush_all), flush_all)
-                if child is not None and not _may_sort(child, st, v, flush_all):
-                    child = None
-            if child is None:
-                if hit:
-                    continue  # settled
-            else:
-                st.append(v)
+            child = None if node is None else _step(*node, v, sigmas, flush_all)
+            if child is None and hit:
+                continue  # settled
             word.append(v)
             if left > 1:
-                yield from descend(left - 1, t, u, st, child, hit)
+                yield from descend(left - 1, t, u, child, hit)
             elif (child is not None) == hit:
                 yield tuple(word)
             word.pop()
-            if child is not None:
-                st.pop()
 
     if n:
-        yield from descend(n, 0, 0, [], (0, ()), False)
+        yield from descend(n, 0, 0, ((), (0, ())), False)
 
 
 def _law_violations(n_max: int, machine: Machine, basis, meshes=()) -> Iterator[CayleyPerm]:

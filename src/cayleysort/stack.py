@@ -153,7 +153,7 @@ class Machine:
 # means scanning from the end.
 
 
-def _creates_occurrence(stack: list[int], x: int, sigmas: tuple[Word, ...]) -> bool:
+def _creates_occurrence(stack: Sequence[int], x: int, sigmas: tuple[Word, ...]) -> bool:
     """Would pushing x leave a forbidden occurrence in the stack?
 
     The stack content is occurrence-free between events, so any new
@@ -291,18 +291,29 @@ def _accept(state: tuple, letters: Iterable[int], flush_all: bool) -> tuple | No
     return low, tuple(above)
 
 
-def _may_sort(state: tuple, stack: list[int], x: int, flush_all: bool) -> bool:
-    """Can the machine still sort some completion once x is pushed onto
-    `stack`, with `state` the `_accept` state of the letters popped so far?
+def _step(stack: tuple, state: tuple, x: int, sigmas: tuple[Word, ...], flush_all: bool):
+    """One machine step on a prefix-tree edge: push x onto `stack` (a tuple,
+    bottom first), with `state` the `_accept` state of the letters popped
+    so far.  Returns the new (stack, state), or None when no completion of
+    the prefix can be sorted.
 
-    The stack empties top first, after everything already popped, so every
-    completion's output holds the popped letters followed, as a
-    subsequence, by x and `stack` read top to bottom.  231-avoidance and
-    weak increase are both closed under subsequences, so when that sequence
-    fails no completion is sorted.  At a leaf it is the whole output, and
-    the answer is exact.
+    The letters x pops go to `_accept`.  They lead the stack read top to
+    bottom, which the previous step accepted, so they never fail.  Then the
+    lookahead: the stack empties top first, after everything popped, so
+    every completion's output holds the popped letters followed, as a
+    subsequence, by the new stack read top to bottom.  231-avoidance and
+    weak increase are both closed under subsequences, so when `_accept`
+    fails on that sequence no completion is sorted.  At a leaf it is the
+    whole output, and the answer is exact.
     """
-    return _accept(state, [x, *reversed(stack)], flush_all) is not None
+    st = stack
+    if stack and _creates_occurrence(stack, x, sigmas):
+        st = list(stack)
+        state = _accept(state, _pops(st, x, sigmas, flush_all), flush_all)
+    stack = (*st, x)
+    if _accept(state, stack[::-1], flush_all) is None:
+        return None
+    return stack, state
 
 
 def _avoids_231(word: Sequence[int]) -> bool:

@@ -44,3 +44,21 @@ def test_pinned_imports_are_traced():
     traced = {(module, attr) for module, attr, _, _ in _boundaries()}
     assert pinned
     assert [name for name in pinned if name not in traced] == []
+
+
+MACHINE_INTERNALS = {"_pops", "_accept"}
+
+
+def test_only_stack_knows_how_a_machine_pops():
+    # how a machine pops and what sorted means live in stack alone; other
+    # modules reach them through Machine, _run_word or the walks' one _step
+    reached = []
+    for path in sorted((ROOT / "src" / "cayleysort").glob("*.py")):
+        if path.name == "stack.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                reached += [(path.stem, a.name) for a in node.names if a.name in MACHINE_INTERNALS]
+            elif isinstance(node, ast.Attribute) and node.attr in MACHINE_INTERNALS:
+                reached.append((path.stem, node.attr))
+    assert reached == []

@@ -50,7 +50,7 @@ from cayleysort.census import (
     _word_sortable,
 )
 from cayleysort.core import _iter_letters, fubini_numbers
-from cayleysort.stack import PUSH, Machine, _avoids_231, _outputs, _run_word
+from cayleysort.stack import Machine, _avoids_231, _outputs, _run_word
 from conftest import corrupt_law_basis, universe, words_up_to
 from reference import brute_contains, naive_machine
 
@@ -184,7 +184,7 @@ class TestReportEmitters:
     def test_to_text_pruned_line(self):
         report = count_sortable("popstack tortoise", 4)
         lines = report.to_text().splitlines()
-        assert lines[-2] == "pruned: 18 of 92 words counted in closed form"
+        assert lines[-2] == "pruned: 52 of 92 words counted in closed form"
         assert all(len(line.split()) == 3 for line in lines if line[:4].strip().isdigit())
 
     def test_to_csv_plain(self):
@@ -421,22 +421,18 @@ def _shard_words(n, first):
 
 def _per_word_shard(machine, n, first):
     """(visited, pruned, by_blocks) of the length-n words starting with
-    `first`, one run per word.  A word is visited when the letters popped
-    before the final flush pass `Machine.accepts`; the tortoise's sortable
-    words are keyed by block count, every other machine's by None."""
+    `first`, one run per word.  A word is visited exactly when the machine
+    sorts it; the tortoise's sortable words are keyed by block count, every
+    other machine's by None."""
     visited = pruned = 0
     by_blocks = {} if machine == _TORTOISE else {None: 0}
     for w in _shard_words(n, first):
-        events = []
-        out = _run_word(w, machine.patterns, machine.flush_all, events)
-        flushed = next(i for i, (kind, _) in enumerate(reversed(events)) if kind == PUSH)
-        if not machine.accepts(out[: len(out) - flushed]):
+        if not machine.accepts(_run_word(w, machine.patterns, machine.flush_all)):
             pruned += 1
             continue
         visited += 1
-        if machine.accepts(out):
-            k = len(tortoise_blocks(w)) if machine == _TORTOISE else None
-            by_blocks[k] = by_blocks.get(k, 0) + 1
+        k = len(tortoise_blocks(w)) if machine == _TORTOISE else None
+        by_blocks[k] = by_blocks.get(k, 0) + 1
     return visited, pruned, by_blocks
 
 
@@ -512,6 +508,7 @@ class TestCensusWalk:
         fubini = fubini_numbers(7)
         for n in range(1, 8):
             assert report.visited[n] + report.pruned[n] == report.universe_sizes[n] == fubini[n]
+        assert report.visited == report.counts
         assert report.pruned[7] > 0
 
     @settings(max_examples=300, deadline=None)

@@ -33,11 +33,9 @@ from cayleysort.stack import (
     Machine,
     _accept,
     _avoids_231,
-    _creates_occurrence,
-    _may_sort,
     _outputs,
-    _pops,
     _run_word,
+    _step,
 )
 from conftest import SIGMA_PANEL16, random_words, universe, words_up_to
 from reference import brute_contains, naive_machine
@@ -221,8 +219,8 @@ class TestAccept:
             assert Machine.sigma(sigma).accepts(word) == _avoids_231(word) == avoids
 
 
-class TestMaySort:
-    """`_may_sort`, the lookahead of the law walk, replayed edge by edge on
+class TestStep:
+    """`_step`, the one machine step of the prefix-tree walks, folded over
     every word: a node it declares dead has no sortable completion, and at
     a leaf it is the exact test."""
 
@@ -231,18 +229,13 @@ class TestMaySort:
         machine = Machine("under test", sigmas, flush_all)
         for w in words_up_to(6, start=1):
             sortable = machine.accepts(_run_word(w, sigmas, flush_all))
-            stack, state = [], (0, ())
+            node = (), (0, ())
             for x in w:
-                if stack and _creates_occurrence(stack, x, sigmas):
-                    state = _accept(state, _pops(stack, x, sigmas, flush_all), flush_all)
-                    if state is None:
-                        assert not sortable, w
-                        break
-                alive = _may_sort(state, stack, x, flush_all)
-                assert alive or not sortable, w
-                stack.append(x)
-            else:
-                assert alive == sortable, w
+                node = _step(*node, x, sigmas, flush_all)
+                if node is None:
+                    assert not sortable, w
+                    break
+            assert (node is not None) == sortable, w
 
 
 class TestSSigma:
