@@ -15,14 +15,13 @@ from itertools import pairwise
 import time
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .core import (
     CayleyPerm,
     Word,
     _check_limit,
     _children,
-    _completions,
     _iter_letters,
     _wrap,
     census_limit,
@@ -98,11 +97,9 @@ def sortable_predicate(machine: str) -> Callable[[CayleyPerm], bool]:
 class SequenceReport:
     """Counting sequence of one census, with the universe sizes alongside.
 
-    Per length, `visited` counts the words the census walk reached as
-    leaves, which are exactly the sortable ones, so it equals `counts`
-    (each word once, also where the walk took its subtree's totals from the
-    memo), and `pruned` the words it counted in closed form; they sum to
-    the universe.
+    The census walk reaches exactly the sortable words as leaves and skips
+    every other word below an edge it prunes, so the text report's
+    `pruned:` line is the universe less the sortable words.
     """
 
     machine: str
@@ -110,8 +107,6 @@ class SequenceReport:
     universe_sizes: dict[int, int]
     refined: dict[tuple[int, int], int] | None = None
     elapsed: float = 0.0
-    visited: dict[int, int] = field(default_factory=dict)
-    pruned: dict[int, int] = field(default_factory=dict)
 
     def count_list(self) -> list[int]:
         return [self.counts[n] for n in sorted(self.counts)]
@@ -127,10 +122,9 @@ class SequenceReport:
             lines.append(f"{'n':>4}  {'k':>4}  {'count':>10}")
             for n, k in sorted(self.refined):
                 lines.append(f"{n:>4}  {k:>4}  {self.refined[n, k]:>10}")
-        lines.append(
-            f"pruned: {sum(self.pruned.values())} of {sum(self.universe_sizes.values())}"
-            " words counted in closed form"
-        )
+        universe = sum(self.universe_sizes.values())
+        pruned = universe - sum(self.counts.values())
+        lines.append(f"pruned: {pruned} of {universe} words counted in closed form")
         lines.append(f"elapsed: {self.elapsed:.2f} s")
         return "\n".join(lines)
 
@@ -150,49 +144,44 @@ class SequenceReport:
 
 
 def _walk(n: int, first: int, machine: Machine):
-    """Walk the prefix tree of the length-n Cayley permutations that start
-    with `first`, running the machine's first stack one letter per edge.
+    """The sortable words among the length-n Cayley permutations that start
+    with `first`, counted on their prefix tree by running the machine's
+    first stack one letter per edge.
 
     The tree is read off the `_children` table, so letters are tried as
     `_iter_letters` tries them; the root edge is the `first` child of the
     empty prefix.  Each node carries the stack content and the state of
     `_accept` on the letters popped so far, and each edge advances them by
     one `stack._step`.  When the step finds that no completion is sortable,
-    the subtree is counted by `_completions` unvisited.  The step's test is
-    exact at a leaf, so every leaf reached is sortable.
+    the subtree is skipped.  The step's test is exact at a leaf, so every
+    leaf reached is sortable and every unsortable word lies below a skipped
+    edge.
 
     The subtree below a node depends only on the node's state: the letters
     to come, the maximum, the unused values, the stack and the `_accept`
     state (the last letter, which decides where a tortoise block starts,
-    is the top of the stack).  So each state's totals (pruned, sortable)
-    are computed once and memoised, for the nodes with at least two letters
-    to come; the memo lives for this one call and is emptied before it
-    returns.
+    is the top of the stack).  So each state's sortable count is computed
+    once and memoised, for the nodes with at least two letters to come;
+    the memo lives for this one call and is emptied before it returns.
 
-    Returns (visited, pruned, by_blocks): the leaves reached, which are the
-    sortable words (each counted once also where its totals came from the
-    memo, as the shard's `_completions` less the pruned words); the words
-    counted in closed form; and the sortable words keyed by their number of
-    maximal strictly decreasing blocks.  Only the tortoise counts blocks
-    (its refinement); every other machine files all its sortable words
-    under the key None.
+    Returns the number of sortable words, except for the tortoise (whose
+    census is refined): a tuple indexed by the number of maximal strictly
+    decreasing blocks, whose entry k counts the sortable words with k
+    blocks.
     """
     sigmas, flush_all = machine.patterns, machine.flush_all
     refine = machine == _TORTOISE
-    memo: dict[tuple, tuple] = {}
+    memo: dict[tuple, int | tuple[int, ...]] = {}
 
     def descend(left, children, stack, state):
-        """Totals (pruned, sortable) below a node with `left` letters to
-        come, whose children are `children`.  For the tortoise `sortable`
-        is a tuple indexed by the blocks started below the node; otherwise
-        it is a count."""
-        pruned = 0
+        """The sortable words below a node with `left` letters to come,
+        whose children are `children`: for the tortoise a tuple indexed by
+        the blocks started below the node, otherwise a count."""
         sortable = [0] * (left + 1) if refine else 0
         prev = stack[-1] if stack else 0
         for v, top, unused in children:
             child = _step(stack, state, v, sigmas, flush_all)
             if child is None:
-                pruned += _completions(left - 1, top, unused)
                 continue
             if left == 1:
                 if refine:
@@ -208,28 +197,24 @@ def _walk(n: int, first: int, machine: Machine):
                 if got is None:
                     kids = _children(left - 1, top, unused)
                     got = memo[key] = descend(left - 1, kids, *child)
-            pruned += got[0]
             if refine:
-                for k, c in enumerate(got[1], prev <= v):
+                for k, c in enumerate(got, prev <= v):
                     sortable[k] += c
             else:
-                sortable += got[1]
-        return pruned, tuple(sortable) if refine else sortable
+                sortable += got
+        return tuple(sortable) if refine else sortable
 
     root = [c for c in _children(n, 0, 0) if c[0] == first]
-    pruned, sortable = descend(n, root, (), (0, ()))
+    sortable = descend(n, root, (), (0, ()))
     memo.clear()  # descend refers to itself, so the memo would outlive the call
-    visited = sum(_completions(n - 1, top, unused) for _, top, unused in root) - pruned
-    if refine:
-        return visited, pruned, {k: c for k, c in enumerate(sortable) if c}
-    return visited, pruned, {None: sortable}
+    return sortable
 
 
-def _shard_counts(args: tuple[Machine, int, int]) -> tuple[int, int, int, dict]:
-    """Walk the length-n inputs that start with `first`: (n, visited,
-    pruned, sortable words by tortoise block count, see `_walk`)."""
+def _shard_counts(args: tuple[Machine, int, int]) -> tuple[int, int | tuple[int, ...]]:
+    """Walk the length-n inputs that start with `first`: (n, the sortable
+    words, see `_walk`)."""
     machine, n, first = args
-    return n, *_walk(n, first, machine)
+    return n, _walk(n, first, machine)
 
 
 def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport:
@@ -241,9 +226,10 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     (`stack._step`), which tests the popped letters followed by the stack
     read top to bottom with `_accept`, the resumable `Machine.accepts`.
     That sequence is a subsequence of every completion's output, so a
-    prefix that fails it is never extended: its completions join the
-    universe in closed form and are recorded as pruned.  The tests compare
-    the walk against one run of the machine per word (`_run_word`).  With
+    prefix that fails it is never extended, and the walk counts only the
+    sortable words.  The universe sizes are the Fubini numbers, which
+    `verify fubini` checks against generation.  The tests compare the walk
+    against one run of the machine per word (`_run_word`).  With
     threads > 1 each length is sharded by leading letter over a process
     pool of at most one worker per shard; counts are summed, so the report
     does not depend on the parallelism degree.  Only the tortoise report
@@ -256,8 +242,6 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     refine = m == _TORTOISE
     started = time.perf_counter()
     counts: dict[int, int] = {}
-    visited: dict[int, int] = {}
-    pruned: dict[int, int] = {}
     refined: dict[tuple[int, int], int] = {}
     jobs = [(m, n, first) for n in range(1, n_max + 1) for first in range(1, n + 1)]
     # a pool starts all its workers at once, so never more than the shards
@@ -270,21 +254,20 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
             results = list(pool.map(_shard_counts, jobs))
     else:
         results = [_shard_counts(job) for job in jobs]
-    for n, shard_visited, shard_pruned, by_blocks in results:
-        visited[n] = visited.get(n, 0) + shard_visited
-        pruned[n] = pruned.get(n, 0) + shard_pruned
-        counts[n] = counts.get(n, 0) + sum(by_blocks.values())
+    for n, sortable in results:
         if refine:
-            for k, c in by_blocks.items():
-                refined[n, k] = refined.get((n, k), 0) + c
+            for k, c in enumerate(sortable):
+                if c:
+                    refined[n, k] = refined.get((n, k), 0) + c
+            sortable = sum(sortable)
+        counts[n] = counts.get(n, 0) + sortable
+    fubini = fubini_numbers(n_max)
     return SequenceReport(
         machine=m.name,
         counts=counts,
-        universe_sizes={n: visited[n] + pruned[n] for n in visited},
+        universe_sizes={n: fubini[n] for n in counts},
         refined=refined if refine else None,
         elapsed=time.perf_counter() - started,
-        visited=visited,
-        pruned=pruned,
     )
 
 
@@ -295,8 +278,9 @@ def tortoise_refined(n: int) -> dict[int, int]:
     _check_limit(n, census_limit(), "census")
     refined: dict[int, int] = {} if n else {0: 1}  # the empty word has no blocks
     for first in range(1, n + 1):
-        for k, c in _walk(n, first, _TORTOISE)[2].items():
-            refined[k] = refined.get(k, 0) + c
+        for k, c in enumerate(_walk(n, first, _TORTOISE)):
+            if c:
+                refined[k] = refined.get(k, 0) + c
     expected = {k: math.comb(n - 1, k - 1) * 2 ** (k - 1) for k in range(1, n + 1)}
     if n >= 1 and refined != expected:
         raise VerificationError(

@@ -178,8 +178,9 @@ def generate_all(n: int, prefix: Word = ()) -> Iterator[CayleyPerm]:
     """All Cayley permutations of length n, lexicographically.
 
     Streams; never materializes the universe.  `prefix` restricts to the
-    permutations starting with those letters (used to shard sweeps); a
-    prefix no length-n Cayley permutation starts with yields nothing.
+    permutations starting with those letters (no sweep uses it: the census
+    shards by `census._walk(n, first)`); a prefix no length-n Cayley
+    permutation starts with yields nothing.
     Guards are checked eagerly, before the first element is drawn: the
     length bound, and that every prefix letter is an int.
     """
@@ -211,15 +212,6 @@ def _children(left: int, top: int, unused: int) -> tuple[tuple[int, int, int], .
         if child[2].bit_count() < left:
             kids.append(child)
     return tuple(kids)
-
-
-@functools.cache
-def _completions(left: int, top: int, unused: int) -> int:
-    """Number of leaves below a node of `_children`: the ways to complete
-    its prefix with `left` more letters to a Cayley permutation."""
-    if left == 0:
-        return 1
-    return sum(_completions(left - 1, t, u) for _, t, u in _children(left, top, unused))
 
 
 def _iter_letters(n: int, prefix: Word = ()) -> Iterator[Word]:

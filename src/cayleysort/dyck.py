@@ -58,8 +58,8 @@ class LabeledDyckPath:
         return "\n".join(
             (
                 self.step_string(),
-                " ".join(str(v) for d, v in self.steps if d == U),
-                " ".join(str(v) for d, v in self.steps if d == D),
+                " ".join(map(str, up_labels(self))),
+                " ".join(map(str, down_labels(self))),
             )
         )
 
@@ -150,10 +150,8 @@ def returns_decomposition(path: LabeledDyckPath) -> list[LabeledDyckPath]:
     segments between moments the stack empties.
     """
     pieces: list[LabeledDyckPath] = []
-    h = 0
     start = 0
-    for i, (d, _) in enumerate(path.steps):
-        h += 1 if d == U else -1
+    for i, h in enumerate(heights(path)):
         if h == 0:
             pieces.append(LabeledDyckPath(path.steps[start : i + 1]))
             start = i + 1

@@ -62,3 +62,60 @@ def test_only_stack_knows_how_a_machine_pops():
             elif isinstance(node, ast.Attribute) and node.attr in MACHINE_INTERNALS:
                 reached.append((path.stem, node.attr))
     assert reached == []
+
+
+def _private_definitions(stmt):
+    """The module-level private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(stmt):
+    """Names and attributes a statement reads (an import reads nothing)."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_no_private_name_outlives_its_last_caller():
+    # a private helper is there for the package; once no other statement
+    # of the package reads it (tests and its own recursion do not count),
+    # it is dead code
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "cayleysort").glob("*.py"))
+    }
+    statements = [(stem, stmt) for stem, tree in modules.items() for stmt in tree.body]
+    unread = []
+    for stem, stmt in statements:
+        for name in _private_definitions(stmt):
+            readers = [
+                other for other_stem, other in statements
+                if other is not stmt and name in _reads(other)
+                and (other_stem == stem or _imports(modules[other_stem], stem, name))
+            ]
+            if not readers:
+                unread.append((stem, name))
+    assert unread == []
+
+
+def _imports(tree, module, name):
+    """Does `tree` import `name` from the sibling module `module`, or the
+    module itself (and so may read `module.name`)?"""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == module and any(a.name == name for a in node.names):
+                return True
+            if node.module is None and any(a.name == module for a in node.names):
+                return True
+    return False

@@ -420,20 +420,19 @@ def _shard_words(n, first):
 
 
 def _per_word_shard(machine, n, first):
-    """(visited, pruned, by_blocks) of the length-n words starting with
-    `first`, one run per word.  A word is visited exactly when the machine
-    sorts it; the tortoise's sortable words are keyed by block count, every
-    other machine's by None."""
-    visited = pruned = 0
-    by_blocks = {} if machine == _TORTOISE else {None: 0}
-    for w in _shard_words(n, first):
-        if not machine.accepts(_run_word(w, machine.patterns, machine.flush_all)):
-            pruned += 1
-            continue
-        visited += 1
-        k = len(tortoise_blocks(w)) if machine == _TORTOISE else None
-        by_blocks[k] = by_blocks.get(k, 0) + 1
-    return visited, pruned, by_blocks
+    """The sortable words of length n that start with `first`, one run per
+    word: for the tortoise a tuple whose entry k counts those with k blocks
+    (`tortoise_blocks`), for every other machine a count."""
+    sortable = [
+        w for w in _shard_words(n, first)
+        if machine.accepts(_run_word(w, machine.patterns, machine.flush_all))
+    ]
+    if machine != _TORTOISE:
+        return len(sortable)
+    by_blocks = [0] * (n + 1)
+    for w in sortable:
+        by_blocks[len(tortoise_blocks(w))] += 1
+    return tuple(by_blocks)
 
 
 def _assert_shards_match_per_word_runs(machine, n_max):
@@ -444,6 +443,22 @@ def _assert_shards_match_per_word_runs(machine, n_max):
             )
 
 
+SHARD_MACHINES = [
+    Machine.sigma((2, 1)), Machine.sigma((3, 2, 1)), Machine.sigma((2, 2, 1, 3)),
+    Machine.popstack("hare"), _TORTOISE,
+]
+
+
+@lru_cache(maxsize=None)
+def _sortable_words_to_seven(machine):
+    """The words of lengths 1..7 that the machine sorts, one run per word."""
+    return sum(
+        machine.accepts(_run_word(w, machine.patterns, machine.flush_all))
+        for n in range(1, 8)
+        for w in universe(n)
+    )
+
+
 class TestCensusWalk:
     """The prefix-tree walk behind count_sortable against per-word sweeps."""
 
@@ -451,14 +466,18 @@ class TestCensusWalk:
         for sigma in sigma_panel():
             _assert_shards_match_per_word_runs(Machine.sigma(sigma), 6)
 
-    @pytest.mark.parametrize(
-        "machine",
-        [Machine.sigma((2, 1)), Machine.sigma((3, 2, 1)), Machine.sigma((2, 2, 1, 3)),
-         Machine.popstack("hare"), _TORTOISE],
-        ids=lambda m: m.name,
-    )
+    @pytest.mark.parametrize("machine", SHARD_MACHINES, ids=lambda m: m.name)
     def test_memoised_shards_to_seven(self, machine):
         _assert_shards_match_per_word_runs(machine, 7)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("machine", SHARD_MACHINES, ids=lambda m: m.name)
+    def test_pruned_line_counts_the_unsortable_words(self, machine, threads):
+        report = count_sortable(machine.name, 7, threads=threads)
+        universe_size = sum(fubini_numbers(7)[1:])
+        pruned = universe_size - _sortable_words_to_seven(machine)
+        line = f"pruned: {pruned} of {universe_size} words counted in closed form"
+        assert report.to_text().splitlines()[-2] == line
 
     def test_walk_keeps_no_memo(self):
         # descend refers to itself, so only emptying the memo frees it
@@ -496,20 +515,20 @@ class TestCensusWalk:
                 words = [w for w in universe(n) if w[0] == first]
                 naive = [w for w in words if _naive_sorts(w, (2, 1))]
                 assert [w for w in words if _word_sortable(Machine.sigma((2, 1)), w)] == naive
-                _, visited, pruned, by_blocks = _shard_counts((Machine.sigma((2, 1)), n, first))
-                assert visited + pruned == len(words)
-                assert sum(by_blocks.values()) == len(naive)
+                assert _shard_counts((Machine.sigma((2, 1)), n, first)) == (n, len(naive))
 
     @pytest.mark.parametrize(
         "machine", ["sigma-machine 21", "sigma-machine 3 2 1", "popstack hare", "popstack tortoise"]
     )
     def test_visited_plus_pruned_is_the_universe(self, machine):
+        # the walk reaches the sortable words and prunes the rest
         report = count_sortable(machine, 7)
         fubini = fubini_numbers(7)
-        for n in range(1, 8):
-            assert report.visited[n] + report.pruned[n] == report.universe_sizes[n] == fubini[n]
-        assert report.visited == report.counts
-        assert report.pruned[7] > 0
+        assert report.universe_sizes == {n: fubini[n] for n in range(1, 8)}
+        pruned = sum(fubini[1:]) - sum(report.counts.values())
+        line = f"pruned: {pruned} of {sum(fubini[1:])} words counted in closed form"
+        assert report.to_text().splitlines()[-2] == line
+        assert fubini[7] - report.counts[7] > 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=7), max_size=12))
