@@ -124,7 +124,7 @@ class SequenceReport:
                 lines.append(f"{n:>4}  {k:>4}  {self.refined[n, k]:>10}")
         universe = sum(self.universe_sizes.values())
         pruned = universe - sum(self.counts.values())
-        lines.append(f"pruned: {pruned} of {universe} words counted in closed form")
+        lines.append(f"pruned: {pruned} of {universe} words below skipped edges")
         lines.append(f"elapsed: {self.elapsed:.2f} s")
         return "\n".join(lines)
 

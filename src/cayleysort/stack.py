@@ -154,13 +154,20 @@ class Machine:
 
 
 def _creates_occurrence(stack: Sequence[int], x: int, sigmas: tuple[Word, ...]) -> bool:
-    """Would pushing x leave a forbidden occurrence in the stack?
+    """Would pushing x complete an occurrence whose first letter is x?
 
-    The stack content is occurrence-free between events, so any new
-    occurrence must use the incoming letter, which sits on top and can only
-    play the first letter of a pattern.  It therefore suffices to embed the
-    rest of each pattern into the current content below x, read top to
-    bottom, with x already matched to the pattern's first letter.
+    That is: embed the rest of each pattern into `stack` (bottom first)
+    read top to bottom, with x already matched to the pattern's first
+    letter.  The answer holds for any stack, so the law walk passes a raw
+    prefix; on a machine's stack, which is occurrence-free between events,
+    it is exactly whether the push is forbidden, since the incoming letter
+    sits on top and can only play a pattern's first letter.
+
+    When the pattern starts with two equal letters, its second letter is a
+    copy of x.  With no copy in the stack there is no occurrence; otherwise
+    the search starts below the topmost copy with two letters matched.  An
+    occurrence through a deeper copy is one through the topmost copy too,
+    which has the same value and lies above it.
     """
     depth = len(stack)
     for sig in sigmas:
@@ -181,7 +188,15 @@ def _creates_occurrence(stack: Sequence[int], x: int, sigmas: tuple[Word, ...]) 
                 return True
             continue
         vals = [x] + [0] * (k - 1)
-        if _extend(stack[::-1], sig, vals, [0] * k, 1, 0, None):
+        if sig[0] != sig[1]:
+            text, t, start = stack[::-1], 1, 0
+        elif x in stack:
+            text = stack[::-1]
+            vals[1] = x
+            t, start = 2, text.index(x) + 1
+        else:
+            continue
+        if _extend(text, sig, vals, [0] * k, t, start, None):
             return True
     return False
 

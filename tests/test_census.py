@@ -184,7 +184,7 @@ class TestReportEmitters:
     def test_to_text_pruned_line(self):
         report = count_sortable("popstack tortoise", 4)
         lines = report.to_text().splitlines()
-        assert lines[-2] == "pruned: 52 of 92 words counted in closed form"
+        assert lines[-2] == "pruned: 52 of 92 words below skipped edges"
         assert all(len(line.split()) == 3 for line in lines if line[:4].strip().isdigit())
 
     def test_to_csv_plain(self):
@@ -476,7 +476,7 @@ class TestCensusWalk:
         report = count_sortable(machine.name, 7, threads=threads)
         universe_size = sum(fubini_numbers(7)[1:])
         pruned = universe_size - _sortable_words_to_seven(machine)
-        line = f"pruned: {pruned} of {universe_size} words counted in closed form"
+        line = f"pruned: {pruned} of {universe_size} words below skipped edges"
         assert report.to_text().splitlines()[-2] == line
 
     def test_walk_keeps_no_memo(self):
@@ -526,7 +526,7 @@ class TestCensusWalk:
         fubini = fubini_numbers(7)
         assert report.universe_sizes == {n: fubini[n] for n in range(1, 8)}
         pruned = sum(fubini[1:]) - sum(report.counts.values())
-        line = f"pruned: {pruned} of {sum(fubini[1:])} words counted in closed form"
+        line = f"pruned: {pruned} of {sum(fubini[1:])} words below skipped edges"
         assert report.to_text().splitlines()[-2] == line
         assert fubini[7] - report.counts[7] > 0
 

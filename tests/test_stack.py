@@ -1,5 +1,7 @@
 """Restricted stacks, the two-stack machine, pop-stacks, fertility."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,19 +28,27 @@ from cayleysort import (
     s_sigma,
     tortoise_blocks,
 )
-from cayleysort.census import sigma_panel
+from cayleysort.census import (
+    HARE_BASIS,
+    TORTOISE_BASIS,
+    _P2341,
+    _class_targets,
+    sigma_panel,
+)
 from cayleysort.core import _iter_letters
+from cayleysort.pattern import _extend
 from cayleysort.stack import (
     _POPSTACK_PATTERNS,
     Machine,
     _accept,
     _avoids_231,
+    _creates_occurrence,
     _outputs,
     _run_word,
     _step,
 )
 from conftest import SIGMA_PANEL16, random_words, universe, words_up_to
-from reference import brute_contains, naive_machine
+from reference import brute_contains, naive_machine, order_isomorphic
 
 
 class TestStackConfig:
@@ -236,6 +246,66 @@ class TestStep:
                     assert not sortable, w
                     break
             assert (node is not None) == sortable, w
+
+
+def _brute_first_letter_occurrence(u, sigmas):
+    """Does some pattern of `sigmas` occur in u at positions that include 0?"""
+    return any(
+        order_isomorphic((u[0],) + tuple(u[i] for i in rest), sig)
+        for sig in sigmas
+        for rest in combinations(range(1, len(u)), len(sig) - 1)
+    )
+
+
+#: Pattern sets the push test gets: each panel sigma alone, and the
+#: reversed bases `census._law_walk` passes for the hare and tortoise laws,
+#: the class law of 321 and the mesh21 law's 2341.
+_PUSH_TEST_SETS = [(tuple(sigma),) for sigma in sigma_panel()] + [
+    tuple(p[::-1] for p in basis)
+    for basis in (HARE_BASIS, TORTOISE_BASIS, _class_targets((3, 2, 1)), (_P2341,))
+]
+
+_EQUAL_FIRST = [(tuple(sigma),) for sigma in sigma_panel() if sigma[0] == sigma[1]]
+
+
+class TestCreatesOccurrence:
+    """The push test on arbitrary stacks, not only occurrence-free ones,
+    since the law walk passes a raw prefix."""
+
+    def test_matches_brute_force_to_five(self):
+        cases = 0
+        for n in range(1, 6):
+            for u in _iter_letters(n):
+                stack = list(u[:0:-1])
+                for sigmas in _PUSH_TEST_SETS:
+                    expected = _brute_first_letter_occurrence(u, sigmas)
+                    assert _creates_occurrence(stack, u[0], sigmas) == expected, (u, sigmas)
+                    cases += 1
+        assert cases == 633 * 95
+
+    def test_equal_first_searches_start_below_a_copy(self, monkeypatch):
+        assert len(_EQUAL_FIRST) == 17
+        pushed = []
+        searches = []
+
+        def push_test(stack, x, sigmas):
+            pushed.append(x)
+            return _creates_occurrence(stack, x, sigmas)
+
+        def extend(text, pat, vals, pos, t, start, accept):
+            searches.append((pat, t, vals[:2], pushed[-1]))
+            return _extend(text, pat, vals, pos, t, start, accept)
+
+        monkeypatch.setattr("cayleysort.stack._creates_occurrence", push_test)
+        monkeypatch.setattr("cayleysort.stack._extend", extend)
+        for sigmas in _EQUAL_FIRST:
+            for n in range(6):
+                for _ in _outputs(n, sigmas, False):
+                    pass
+        assert searches and len(searches) < len(pushed)
+        for pat, t, first_two, x in searches:
+            assert pat[0] == pat[1]
+            assert (t, first_two) == (2, [x, x]), pat
 
 
 class TestSSigma:
