@@ -1,11 +1,12 @@
 """Exhaustive sweeps: machine censuses and verification of their laws.
 
-Everything here enumerates the full universe of Cayley permutations up to a
-length bound (default 8) and checks, with no sampling, that the simulated
-machines agree with their closed-form characterizations: avoidance-set
-descriptions of sortable sets, the mesh characterization of the 21-machine,
-bijectivity and involution laws of the maps s_sigma, pop-stack counting
-formulas, and non-closure witnesses.
+Every census and law check covers all Cayley permutations up to a length
+bound (default 8), mostly by walking their prefix tree one machine step
+per edge, and checks with no sampling that the simulated machines agree
+with their closed-form characterizations: avoidance-set descriptions of
+sortable sets, the mesh characterization of the 21-machine, bijectivity
+and involution laws of the maps s_sigma, pop-stack counting formulas, and
+non-closure witnesses.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .core import (
 from .pattern import (
     MESH_Z,
     CayleyMeshPattern,
+    _closure_sweep,
     _creates_mesh,
     _reverse_mesh,
     contains,
-    subpatterns,
 )
 from .stack import (
     HARE,
@@ -51,11 +52,11 @@ from .stack import (
 
 # Not called here (the census walk counts blocks itself, the law sweeps
 # reverse tuples by slicing and find mesh occurrences on the prefix tree,
-# and `stack._accept` is the one sorted-output test); kept because
-# perfbench/tracer.py wraps census.tortoise_blocks, census.reverse,
-# census.is_weakly_increasing and census.contains_mesh by name.
+# `stack._accept` is the one sorted-output test, and the witness search
+# steps down by one-point deletions); kept because perfbench/tracer.py
+# wraps these five names in census.
 from .core import is_weakly_increasing, reverse  # noqa: F401
-from .pattern import contains_mesh  # noqa: F401
+from .pattern import contains_mesh, subpatterns  # noqa: F401
 from .stack import tortoise_blocks  # noqa: F401
 
 _P132 = (1, 3, 2)
@@ -422,19 +423,6 @@ def _witness_valid(machine: Machine, alpha: Word, beta: Word) -> bool:
     )
 
 
-def _search_witness(machine: Machine, max_len: int) -> tuple[Word, Word] | None:
-    """Exhaustive fallback: smallest sortable beta with a non-sortable
-    pattern alpha, beta in generation order and alpha smallest first."""
-    for n in range(2, max_len + 1):
-        for beta in _iter_letters(n):
-            if not _word_sortable(machine, beta):
-                continue
-            for alpha in sorted(subpatterns(_wrap(beta)), key=lambda q: (len(q), q)):
-                if len(alpha) >= 2 and not _word_sortable(machine, tuple(alpha)):
-                    return tuple(alpha), beta
-    return None
-
-
 def witness_non_class(sigma) -> tuple[CayleyPerm, CayleyPerm]:
     """A pair (alpha, beta) showing Sort(sigma) is not containment-closed.
 
@@ -448,9 +436,9 @@ def witness_non_class(sigma) -> tuple[CayleyPerm, CayleyPerm]:
 
     with alpha = 132.  Every returned pair is validated (beta sortable,
     alpha a non-sortable pattern of it); a pair that fails validation is
-    reported and replaced by an exhaustively searched one.  The stored row
-    for sigma = 21 is such a pair, so witness_non_class((2, 1)) always warns
-    and returns (3241, 34241).
+    reported and replaced by the first item of `_closure_sweep` up to length
+    k + 3, with no census bound.  The stored row for sigma = 21 is such a
+    pair, so witness_non_class((2, 1)) always warns and returns (3241, 34241).
     """
     machine = Machine.sigma(sigma)
     letters = machine.patterns[0]
@@ -478,10 +466,11 @@ def witness_non_class(sigma) -> tuple[CayleyPerm, CayleyPerm]:
             "falling back to exhaustive search",
             stacklevel=2,
         )
-        found = _search_witness(machine, k + 3)
+        # the smallest sortable beta and its smallest non-sortable pattern
+        found = next(_closure_sweep(lambda w: _word_sortable(machine, w), k + 3), None)
         if found is None:
             raise VerificationError(f"no witness pair exists for sigma={sig} up to length {k + 3}")
-        alpha, beta = found
+        beta, (alpha, *_) = found
     return _wrap(alpha), _wrap(beta)
 
 

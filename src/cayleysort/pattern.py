@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .core import (
@@ -330,57 +330,65 @@ def _memoised(member: Member) -> Member:
 _NO_PATTERNS: frozenset[CayleyPerm] = frozenset()
 
 
-def downward_closure_violations(
-    member: Member, n_max: int
-) -> list[tuple[CayleyPerm, CayleyPerm]]:
+def _non_member_patterns(check: Member) -> Callable[[CayleyPerm, bool], frozenset[CayleyPerm]]:
+    """The one way the package lists the proper patterns member rejects.
+
+    The proper patterns of a word w are its one-point deletions d together
+    with the proper patterns of each d, so its non-member proper patterns
+    are, over d in `_deletions(w)`, d itself when `check` rejects d and the
+    non-member proper patterns of d.  This holds whether or not the member
+    set is closed, so the sets are exact, and no index subset is listed.
+    Returns non_members(w, keep): the set, memoised when keep is true.
+    """
+    below: dict[CayleyPerm, frozenset[CayleyPerm]] = {}
+
+    def non_members(w: CayleyPerm, keep: bool = True) -> frozenset[CayleyPerm]:
+        got = below.get(w)
+        if got is None:
+            acc: set[CayleyPerm] = set()
+            for d in _deletions(w):
+                if not check(d):
+                    acc.add(d)
+                acc |= non_members(d)
+            # the many words with no non-member pattern share one set
+            got = frozenset(acc) if acc else _NO_PATTERNS
+            if keep:
+                below[w] = got
+        return got
+
+    return non_members
+
+
+def _closure_sweep(member: Member, n_max: int) -> Iterator[tuple[CayleyPerm, list[CayleyPerm]]]:
+    """Each member beta of length <= n_max with a proper pattern that member
+    rejects, in generation order, with those patterns sorted by (length,
+    letters).  Callers bound n_max.  member runs once per distinct word and,
+    before a beta is yielded, only on words no longer than it, so the first
+    item is the smallest witness that the member set is not closed.  The
+    sets and verdicts of the last length are not kept.
+    """
+    check = _memoised(member)
+    non_members = _non_member_patterns(check)
+    for n in range(n_max + 1):
+        # no longer word asks for the sets or verdicts of the last length: keep none
+        keep = n < n_max
+        accepts = check if keep else member
+        for beta in generate_all(n):
+            if accepts(beta) and (alphas := non_members(beta, keep)):
+                yield beta, sorted(alphas, key=lambda q: (len(q), q))
+
+
+def downward_closure_violations(member: Member, n_max: int) -> list[tuple[CayleyPerm, CayleyPerm]]:
     """All pairs (beta, alpha) with member(beta), alpha a pattern of beta,
     and not member(alpha), over |beta| <= n_max.
 
     Empty exactly when the member set is closed under pattern containment
-    up to that length.  Sorted by (|beta|, beta, |alpha|, alpha).  n_max
-    is bounded by `census_limit`, and member runs once per distinct word.
-
-    The proper patterns of a word w are its one-point deletions d together
-    with the proper patterns of each d, so its set of non-member proper
-    patterns is, over d in `_deletions(w)`, the union of d itself when
-    member rejects d and the non-member proper patterns of d.  This holds
-    whether or not the member set is closed, so the result is exact.  The
-    sets are memoised: for every member, whose patterns the sweep lists
-    (a member's set is ready before any longer word asks for it), and on
-    demand for the non-members that some member's patterns pass through;
-    the sets and verdicts of the last length are not kept.  Nothing
-    enumerates index subsets.
+    up to that length.  Sorted by (|beta|, beta, |alpha|, alpha), the order
+    in which `_closure_sweep` yields them.  n_max is bounded by
+    `census_limit`, and member runs once per distinct word.
     """
     _check_limit(n_max, census_limit(), "closure sweep")
-    violations: list[tuple[CayleyPerm, CayleyPerm]] = []
-    check = _memoised(member)
-    below: dict[CayleyPerm, frozenset[CayleyPerm]] = {}
-
-    def collect(w: CayleyPerm) -> set[CayleyPerm]:
-        """The proper patterns of w that member rejects."""
-        acc: set[CayleyPerm] = set()
-        for d in _deletions(w):
-            if not check(d):
-                acc.add(d)
-            acc |= non_members(d)
-        return acc
-
-    def non_members(w: CayleyPerm) -> frozenset[CayleyPerm]:
-        """collect(w), memoised; the many words with none share one set."""
-        got = below.get(w)
-        if got is None:
-            acc = collect(w)
-            got = below[w] = frozenset(acc) if acc else _NO_PATTERNS
-        return got
-
-    for n in range(n_max + 1):
-        # no longer word asks for the sets or verdicts of the last length: keep none
-        patterns, accepts = (collect, member) if n == n_max else (non_members, check)
-        for beta in generate_all(n):
-            if accepts(beta):
-                violations.extend((beta, alpha) for alpha in patterns(beta))
-    violations.sort(key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
-    return violations
+    return [(beta, alpha) for beta, alphas in _closure_sweep(member, n_max) for alpha in alphas]
 
 
 def minimal_non_members(member: Member, n_max: int) -> list[CayleyPerm]:
@@ -388,28 +396,29 @@ def minimal_non_members(member: Member, n_max: int) -> list[CayleyPerm]:
 
     A word belongs to the result when member rejects it but accepts every
     proper pattern of it.  For a set that is an avoidance class this is its
-    basis restricted to lengths <= n_max.  Sorted by length, then
-    lexicographically.  n_max is bounded by `census_limit`, and member runs
+    basis restricted to lengths <= n_max.  In generation order: by length,
+    then lexicographically.  n_max is bounded by `census_limit`, and member runs
     once per distinct word.
 
     Every one-point deletion is a proper pattern, so a rejected word is a
     candidate only when member accepts all of its `_deletions`; for a
     closed set that already decides it.  A set that is not closed can
-    accept the deletions and still reject a shorter pattern, so each
-    candidate is confirmed on all of its proper patterns (`subpatterns`)
-    before it is kept.  The result is exact either way, and only the few
-    candidates pay for the 2^n subsets.
+    accept the deletions and still reject a shorter pattern, so a candidate
+    is kept only when no deletion has a non-member pattern, by the memo of
+    `_non_member_patterns`.  The result is exact either way, and only the
+    candidates look further down.
     """
     _check_limit(n_max, census_limit(), "basis sweep")
     minimal: list[CayleyPerm] = []
     check = _memoised(member)
+    non_members = _non_member_patterns(check)
     for n in range(n_max + 1):
         # no longer word looks up the verdicts of the last length: keep none
         accepts = member if n == n_max else check
         for p in generate_all(n):
-            if accepts(p) or not all(check(d) for d in _deletions(p)):
+            if accepts(p):
                 continue
-            if all(check(q) for q in subpatterns(p)):
+            dels = _deletions(p)
+            if all(check(d) for d in dels) and not any(non_members(d) for d in dels):
                 minimal.append(p)
-    minimal.sort(key=lambda p: (len(p), p))
     return minimal

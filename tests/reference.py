@@ -5,9 +5,10 @@ every index subset, and the machine simulator re-tests the *entire* stack
 content against every forbidden pattern before each push, exactly as the
 machine is defined.  The library is allowed to be clever (it only matches
 the incoming letter against the first pattern letter); this module is not.
-Likewise the basis and closure sweeps here list the patterns of every word
-by `subpatterns`, all 2^n index subsets, where the library steps down by
-one-point deletions.
+Likewise the basis sweep, the closure sweep and the witness search here
+list the patterns of every word by `subpatterns`, all 2^n index subsets,
+where the library steps down by one-point deletions (`pattern._closure_sweep`
+and the memo it shares with `minimal_non_members`).
 """
 
 from itertools import combinations
@@ -173,3 +174,18 @@ def brute_minimal_non_members(member, n_max):
         for p in generate_all(n)
         if not member(p) and all(member(q) for q in subpatterns(p))
     ]
+
+
+def brute_search_witness(member, max_len):
+    """Witness search by its definition: the first member beta of length
+    <= max_len, in generation order, with a proper pattern alpha that member
+    rejects, and the smallest such alpha by (length, letters), as the pair
+    (alpha, beta); None when there is none.  The patterns are listed by
+    `subpatterns` (all 2^n index subsets)."""
+    for n in range(max_len + 1):
+        for beta in generate_all(n):
+            if member(beta):
+                for alpha in sorted(subpatterns(beta), key=lambda q: (len(q), q)):
+                    if not member(alpha):
+                        return alpha, beta
+    return None

@@ -64,6 +64,21 @@ def test_only_stack_knows_how_a_machine_pops():
     assert reached == []
 
 
+def test_no_module_lists_patterns_by_index_subsets():
+    # the package lists the proper patterns a word's member set rejects by
+    # one-point deletions alone; `subpatterns`, the 2^n index-subset
+    # enumeration, is public API and the tests' oracle, never a code path
+    calls = []
+    for path in sorted((ROOT / "src" / "cayleysort").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "subpatterns":
+                    calls.append((path.stem, node.lineno))
+    assert calls == []
+
+
 def _private_definitions(stmt):
     """The module-level private names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

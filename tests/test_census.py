@@ -45,14 +45,15 @@ from cayleysort import census
 from cayleysort.census import (
     _TORTOISE,
     WITNESS_TABLE,
-    _search_witness,
+    _class_targets,
     _shard_counts,
     _word_sortable,
 )
 from cayleysort.core import _iter_letters, fubini_numbers
+from cayleysort.pattern import _closure_sweep
 from cayleysort.stack import Machine, _avoids_231, _outputs, _run_word
 from conftest import corrupt_law_basis, universe, words_up_to
-from reference import brute_contains, naive_machine
+from reference import brute_contains, brute_search_witness, naive_machine
 
 
 def _naive_sorts(letters, sigma):
@@ -326,7 +327,46 @@ class TestWitnesses:
         assert not _naive_sorts((3, 2, 4, 1), (2, 1))
 
     def test_search_witness_directly(self):
-        assert _search_witness(Machine.sigma((2, 1)), 5) == ((3, 2, 4, 1), (3, 4, 2, 4, 1))
+        sortable = sortable_predicate("sigma-machine 21")
+        beta, alphas = next(_closure_sweep(sortable, 5))
+        assert (alphas[0], beta) == ((3, 2, 4, 1), (3, 4, 2, 4, 1))
+
+    @pytest.mark.parametrize(
+        "sigma, max_len",
+        [((2, 1), 5)]
+        + [
+            (tuple(s), len(s) + 3)
+            for s in sigma_panel()
+            if len(s) <= 3 and _class_targets(tuple(s)) is None
+        ],
+        ids=str,
+    )
+    def test_search_witness_matches_subset_search(self, sigma, max_len):
+        # the closure sweep's first item is the witness the 2^n subset
+        # search finds: the same beta and the same smallest alpha
+        sortable = sortable_predicate("sigma-machine " + " ".join(map(str, sigma)))
+        beta, alphas = next(_closure_sweep(sortable, max_len))
+        assert (alphas[0], beta) == brute_search_witness(sortable, max_len)
+
+    def test_21_fallback_ignores_census_bound(self, monkeypatch):
+        # the search runs to k + 3 = 5 even when sweeps are bounded at 4
+        monkeypatch.setenv("CAYLEYSORT_MAX_N", "4")
+        with pytest.warns(UserWarning, match="fails validation"):
+            assert witness_non_class((2, 1)) == ((3, 2, 4, 1), (3, 4, 2, 4, 1))
+
+    def test_search_stops_at_its_first_witness(self):
+        # asking for the first item runs the machine on no word longer
+        # than the witness beta = 34241
+        sortable = sortable_predicate("sigma-machine 21")
+        lengths = set()
+
+        def member(w):
+            lengths.add(len(w))
+            return sortable(w)
+
+        beta, _ = next(_closure_sweep(member, 8))
+        assert len(beta) == 5
+        assert max(lengths) == 5
 
     def test_rejected_for_classes(self):
         with pytest.raises(ValueError):

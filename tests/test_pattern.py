@@ -377,9 +377,9 @@ _SWEEP_MEMBERS = [
 @pytest.mark.parametrize("member", _SWEEP_MEMBERS)
 class TestDeletionSweepsAgainstOracles:
     """The deletion sweeps equal the subset-based sweeps, also on member
-    sets that are not closed (the random ones), where the basis sweep needs
-    its subpattern confirmation and the closure sweep its on-demand sets
-    of non-members."""
+    sets that are not closed (the random ones), where a basis candidate
+    needs its confirmation by the memo of non-member patterns and the
+    closure sweep its on-demand sets of non-members."""
 
     def test_minimal_non_members(self, member):
         assert minimal_non_members(member, 5) == brute_minimal_non_members(member, 5)
