@@ -1,11 +1,12 @@
 """Exhaustive sweeps: machine censuses and verification of their laws.
 
 Every census and law check covers all Cayley permutations up to a length
-bound (default 8), mostly by walking their prefix tree one machine step
-per edge, and checks with no sampling that the simulated machines agree
-with their closed-form characterizations: avoidance-set descriptions of
-sortable sets, the mesh characterization of the 21-machine, bijectivity
-and involution laws of the maps s_sigma, pop-stack counting formulas, and
+bound (default 8), mostly by walking a tree of them one machine step per
+edge (the insertion tree for censuses, the prefix tree for laws), and
+checks with no sampling that the simulated machines agree with their
+closed-form characterizations: avoidance-set descriptions of sortable
+sets, the mesh characterization of the 21-machine, bijectivity and
+involution laws of the maps s_sigma, pop-stack counting formulas, and
 non-closure witnesses.
 """
 
@@ -144,94 +145,113 @@ class SequenceReport:
         return "\n".join(f"{n} {self.counts[n]}" for n in sorted(self.counts))
 
 
-def _walk(n: int, first: int, machine: Machine):
-    """The sortable words among the length-n Cayley permutations that start
-    with `first`, counted on their prefix tree by running the machine's
-    first stack one letter per edge.
+def _raise(values: tuple, g: int) -> tuple:
+    """Make room for a new value g + 1: every value above g rises by one."""
+    return tuple(y + (y > g) for y in values)
 
-    The tree is read off the `_children` table, so letters are tried as
-    `_iter_letters` tries them; the root edge is the `first` child of the
-    empty prefix.  Each node carries the stack content and the state of
-    `_accept` on the letters popped so far, and each edge advances them by
-    one `stack._step`.  When the step finds that no completion is sortable,
-    the subtree is skipped.  The step's test is exact at a leaf, so every
-    leaf reached is sortable and every unsortable word lies below a skipped
-    edge.
 
-    The subtree below a node depends only on the node's state: the letters
-    to come, the maximum, the unused values, the stack and the `_accept`
-    state (the last letter, which decides where a tortoise block starts,
-    is the top of the stack).  So each state's sortable count is computed
-    once and memoised, for the nodes with at least two letters to come;
-    the memo lives for this one call and is emptied before it returns.
+def _edges(k: int, stack: tuple, state: tuple):
+    """The 2k + 1 edges below an insertion-tree node, a Cayley permutation
+    on the values 1..k: (letter, values, stack, state) with the node's
+    stack and `_accept` state as the letter's step starts from.  A repeat
+    of a value v in 1..k keeps them; a new value in gap g in 0..k is the
+    letter g + 1, and every value above g in the stack, `low` and `above`
+    rises by one (`low` = 0 stays 0)."""
+    for v in range(1, k + 1):
+        yield v, k, stack, state
+    low, above = state
+    for g in range(k + 1):
+        yield g + 1, k + 1, _raise(stack, g), (low + (low > g), _raise(above, g))
+
+
+def _walk(n: int, node: Word, machine: Machine):
+    """The sortable words among the length-n Cayley permutations below
+    `node`, a Cayley permutation of length at most n, in the insertion
+    tree, counted by running the machine's first stack one letter per edge.
+
+    The insertion tree grows words by relative insertion (`_edges`): the
+    nodes on a word's path are the standardisations of its prefixes, so
+    each Cayley permutation is exactly one root-to-leaf path.  Each node
+    carries the stack content and the `_accept` state of the letters popped
+    so far, in the node's values; an edge relabels them and advances them
+    by one `stack._step`, which only compares letters.  When the step finds
+    that no completion is sortable, the subtree is skipped.  The step's
+    test is exact at a leaf, so every leaf reached is sortable and every
+    unsortable word lies below a skipped edge.
+
+    The subtree below a node depends only on the letters to come, k, the
+    stack and the `_accept` state (the top of the stack, the last letter,
+    decides where a tortoise block starts).  So each such state's sortable
+    count is computed once and memoised, for every node below `node` with
+    letters to come; the memo lives for this one call.
 
     Returns the number of sortable words, except for the tortoise (whose
-    census is refined): a tuple indexed by the number of maximal strictly
-    decreasing blocks, whose entry k counts the sortable words with k
-    blocks.
+    census is refined): a tuple of length n + 1 whose entry k counts the
+    sortable words with k maximal strictly decreasing blocks.
     """
     sigmas, flush_all = machine.patterns, machine.flush_all
     refine = machine == _TORTOISE
     memo: dict[tuple, int | tuple[int, ...]] = {}
 
-    def descend(left, children, stack, state):
-        """The sortable words below a node with `left` letters to come,
-        whose children are `children`: for the tortoise a tuple indexed by
-        the blocks started below the node, otherwise a count."""
+    def descend(left, k, stack, state):
+        """The sortable words below a node on k values with `left` letters
+        to come: for the tortoise a tuple indexed by the blocks started
+        below the node, otherwise a count."""
+        if not left:
+            return (1,) if refine else 1
         sortable = [0] * (left + 1) if refine else 0
-        prev = stack[-1] if stack else 0
-        for v, top, unused in children:
-            child = _step(stack, state, v, sigmas, flush_all)
+        for v, values, st, stt in _edges(k, stack, state):
+            child = _step(st, stt, v, sigmas, flush_all)
             if child is None:
                 continue
             if left == 1:
-                if refine:
-                    sortable[prev <= v] += 1
-                else:
-                    sortable += 1
-                continue
-            if left == 2:
-                got = descend(1, _children(1, top, unused), *child)
+                got = (1,) if refine else 1
             else:
-                key = left - 1, top, unused, child
+                key = left - 1, values, child
                 got = memo.get(key)
                 if got is None:
-                    kids = _children(left - 1, top, unused)
-                    got = memo[key] = descend(left - 1, kids, *child)
+                    got = memo[key] = descend(left - 1, values, *child)
             if refine:
-                for k, c in enumerate(got, prev <= v):
-                    sortable[k] += c
+                for b, c in enumerate(got, (st[-1] if st else 0) <= v):
+                    sortable[b] += c
             else:
                 sortable += got
         return tuple(sortable) if refine else sortable
 
-    root = [c for c in _children(n, 0, 0) if c[0] == first]
-    sortable = descend(n, root, (), (0, ()))
+    stack, state, blocks = (), (0, ()), 0
+    for v in node:
+        blocks += (stack[-1] if stack else 0) <= v
+        child = _step(stack, state, v, sigmas, flush_all)
+        if child is None:
+            return (0,) * (n + 1) if refine else 0
+        stack, state = child
+    sortable = descend(n - len(node), max(node, default=0), stack, state)
     memo.clear()  # descend refers to itself, so the memo would outlive the call
-    return sortable
+    return (0,) * blocks + sortable + (0,) * (len(node) - blocks) if refine else sortable
 
 
-def _shard_counts(args: tuple[Machine, int, int]) -> tuple[int, int | tuple[int, ...]]:
-    """Walk the length-n inputs that start with `first`: (n, the sortable
-    words, see `_walk`)."""
-    machine, n, first = args
-    return n, _walk(n, first, machine)
+def _shard_counts(args: tuple[Machine, int, Word]) -> tuple[int, int | tuple[int, ...]]:
+    """Walk the length-n inputs below the insertion node `node`: (n, the
+    sortable words, see `_walk`)."""
+    machine, n, node = args
+    return n, _walk(n, node, machine)
 
 
 def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport:
     """Count sortable inputs per length 1..n_max.
 
     `machine` is a descriptor (see `Machine.parse`); the report names it in
-    canonical form.  One walk of the prefix tree of Cayley permutations per
-    length (see `_walk`) runs the first stack once per tree edge
-    (`stack._step`), which tests the popped letters followed by the stack
-    read top to bottom with `_accept`, the resumable `Machine.accepts`.
-    That sequence is a subsequence of every completion's output, so a
-    prefix that fails it is never extended, and the walk counts only the
-    sortable words.  The universe sizes are the Fubini numbers, which
-    `verify fubini` checks against generation.  The tests compare the walk
-    against one run of the machine per word (`_run_word`).  With
-    threads > 1 each length is sharded by leading letter over a process
+    canonical form.  One walk of the insertion tree of Cayley permutations
+    per length, with one memo (see `_walk`), runs the first stack once per
+    tree edge (`stack._step`), which tests the popped letters followed by
+    the stack read top to bottom with `_accept`, the resumable
+    `Machine.accepts`.  That sequence is a subsequence of every
+    completion's output, so a prefix that fails it is never extended, and
+    the walk counts only the sortable words.  The universe sizes are the
+    Fubini numbers, which `verify fubini` checks against generation.  The
+    tests compare the walk against one run of the machine per word
+    (`_run_word`).  With threads > 1 each length is sharded by its
+    insertion nodes at depth min(n, 3) (1, 3 or 13 of them) over a process
     pool of at most one worker per shard; counts are summed, so the report
     does not depend on the parallelism degree.  Only the tortoise report
     carries the block-count refinement.
@@ -244,7 +264,12 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     started = time.perf_counter()
     counts: dict[int, int] = {}
     refined: dict[tuple[int, int], int] = {}
-    jobs = [(m, n, first) for n in range(1, n_max + 1) for first in range(1, n + 1)]
+    jobs = [
+        (m, n, node)
+        for n in range(1, n_max + 1)
+        # the insertion nodes at depth d are the Cayley permutations of length d
+        for node in (generate_all(min(n, 3)) if threads > 1 else [()])
+    ]
     # a pool starts all its workers at once, so never more than the shards
     workers = min(threads, len(jobs))
     if workers > 1:
@@ -277,11 +302,7 @@ def tortoise_refined(n: int) -> dict[int, int]:
     maximal strictly decreasing blocks; checked against C(n-1,k-1)*2^(k-1).
     """
     _check_limit(n, census_limit(), "census")
-    refined: dict[int, int] = {} if n else {0: 1}  # the empty word has no blocks
-    for first in range(1, n + 1):
-        for k, c in enumerate(_walk(n, first, _TORTOISE)):
-            if c:
-                refined[k] = refined.get(k, 0) + c
+    refined = {k: c for k, c in enumerate(_walk(n, (), _TORTOISE)) if c}
     expected = {k: math.comb(n - 1, k - 1) * 2 ** (k - 1) for k in range(1, n + 1)}
     if n >= 1 and refined != expected:
         raise VerificationError(

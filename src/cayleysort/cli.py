@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import __version__
 from .core import LIMIT_ENV_VAR, CayleyPerm, fubini_numbers
@@ -293,14 +294,22 @@ VERIFY_TARGETS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a library warning as one line, without the source location
+    Python would name."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:  # ResourceLimitError too
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ValueError as exc:  # ResourceLimitError too
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 #: Exit status when the reader of standard output goes away early, as in

@@ -179,8 +179,8 @@ def generate_all(n: int, prefix: Word = ()) -> Iterator[CayleyPerm]:
 
     Streams; never materializes the universe.  `prefix` restricts to the
     permutations starting with those letters (no sweep uses it: the census
-    shards by `census._walk(n, first)`); a prefix no length-n Cayley
-    permutation starts with yields nothing.
+    shards by insertion nodes, `census._walk(n, node)`); a prefix no
+    length-n Cayley permutation starts with yields nothing.
     Guards are checked eagerly, before the first element is drawn: the
     length bound, and that every prefix letter is an int.
     """

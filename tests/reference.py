@@ -189,3 +189,28 @@ def brute_search_witness(member, max_len):
                     if not member(alpha):
                         return alpha, beta
     return None
+
+
+def standardize(word):
+    """The word with each value replaced by its rank among the distinct
+    values of the word (1 for the smallest)."""
+    ranks = {v: r for r, v in enumerate(sorted(set(word)), start=1)}
+    return tuple(ranks[v] for v in word)
+
+
+def insertion_words(n):
+    """The length-n words built by relative insertion from the empty word,
+    one per sequence of moves.  With k distinct values used so far, a move
+    appends a copy of one of them, or a new value in one of the k + 1 gaps
+    between them: the new letter is g + 1 for gap g, and every earlier
+    letter above g rises by one."""
+    words = [()]
+    for _ in range(n):
+        grown = []
+        for w in words:
+            k = len(set(w))
+            grown.extend(w + (v,) for v in range(1, k + 1))
+            for g in range(k + 1):
+                grown.append(tuple(x + 1 if x > g else x for x in w) + (g + 1,))
+        words = grown
+    return words

@@ -51,9 +51,15 @@ from cayleysort.census import (
 )
 from cayleysort.core import _iter_letters, fubini_numbers
 from cayleysort.pattern import _closure_sweep
-from cayleysort.stack import Machine, _avoids_231, _outputs, _run_word
+from cayleysort.stack import Machine, _avoids_231, _outputs, _run_word, _step
 from conftest import corrupt_law_basis, universe, words_up_to
-from reference import brute_contains, brute_search_witness, naive_machine
+from reference import (
+    brute_contains,
+    brute_search_witness,
+    insertion_words,
+    naive_machine,
+    standardize,
+)
 
 
 def _naive_sorts(letters, sigma):
@@ -131,7 +137,7 @@ class TestCountSortable:
             assert strip(serial) == strip(parallel)
 
     @pytest.mark.parametrize(
-        "n_max, threads, workers", [(3, 5000, 6), (3, 4, 4), (1, 8, None), (0, 8, None)]
+        "n_max, threads, workers", [(3, 5000, 17), (3, 4, 4), (1, 8, None), (0, 8, None)]
     )
     def test_pool_has_at_most_one_worker_per_shard(self, monkeypatch, n_max, threads, workers):
         # a stand-in pool records its size and maps serially; no process starts
@@ -455,17 +461,21 @@ def _assert_walk_matches_sweep(machine, n_max):
 
 
 @lru_cache(maxsize=None)
-def _shard_words(n, first):
-    return [w for w in universe(n) if w[0] == first]
+def _shard_words(n):
+    """The length-n words by their insertion node at depth min(n, 3), the
+    shards of a threaded census: the standardisation of their prefix."""
+    shards = {}
+    for w in universe(n):
+        shards.setdefault(standardize(w[:3]), []).append(w)
+    return shards
 
 
-def _per_word_shard(machine, n, first):
-    """The sortable words of length n that start with `first`, one run per
-    word: for the tortoise a tuple whose entry k counts those with k blocks
+def _per_word_count(machine, n, words):
+    """The sortable words among `words` of length n, one run per word: for
+    the tortoise a tuple whose entry k counts those with k blocks
     (`tortoise_blocks`), for every other machine a count."""
     sortable = [
-        w for w in _shard_words(n, first)
-        if machine.accepts(_run_word(w, machine.patterns, machine.flush_all))
+        w for w in words if machine.accepts(_run_word(w, machine.patterns, machine.flush_all))
     ]
     if machine != _TORTOISE:
         return len(sortable)
@@ -476,11 +486,18 @@ def _per_word_shard(machine, n, first):
 
 
 def _assert_shards_match_per_word_runs(machine, n_max):
+    """Each shard's walk, and the root walk of a serial census, against one
+    run per word."""
     for n in range(1, n_max + 1):
-        for first in range(1, n + 1):
-            assert census._walk(n, first, machine) == _per_word_shard(machine, n, first), (
-                machine.name, n, first,
+        shards = _shard_words(n)
+        assert sorted(shards) == list(universe(min(n, 3)))
+        for node, words in shards.items():
+            assert census._walk(n, node, machine) == _per_word_count(machine, n, words), (
+                machine.name, n, node,
             )
+        assert census._walk(n, (), machine) == _per_word_count(machine, n, universe(n)), (
+            machine.name, n,
+        )
 
 
 SHARD_MACHINES = [
@@ -523,14 +540,15 @@ class TestCensusWalk:
         # descend refers to itself, so only emptying the memo frees it
         # without a gc pass
         machine = Machine.sigma((2, 1))
-        for first in range(1, 8):
-            census._walk(7, first, machine)  # fill the shared letter tables
+        nodes = [(), *universe(3)]  # the serial root and the shard roots
+        for node in nodes:
+            census._walk(7, node, machine)  # warm up once
         gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for first in range(1, 8):
-                census._walk(7, first, machine)
+            for node in nodes:
+                census._walk(7, node, machine)
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -551,11 +569,10 @@ class TestCensusWalk:
 
     def test_21_shards_agree_with_naive_oracle(self):
         for n in range(1, 7):
-            for first in range(1, n + 1):
-                words = [w for w in universe(n) if w[0] == first]
+            for node, words in _shard_words(n).items():
                 naive = [w for w in words if _naive_sorts(w, (2, 1))]
                 assert [w for w in words if _word_sortable(Machine.sigma((2, 1)), w)] == naive
-                assert _shard_counts((Machine.sigma((2, 1)), n, first)) == (n, len(naive))
+                assert _shard_counts((Machine.sigma((2, 1)), n, node)) == (n, len(naive))
 
     @pytest.mark.parametrize(
         "machine", ["sigma-machine 21", "sigma-machine 3 2 1", "popstack hare", "popstack tortoise"]
@@ -574,6 +591,72 @@ class TestCensusWalk:
     @given(st.lists(st.integers(min_value=1, max_value=7), max_size=12))
     def test_avoids_231_matches_brute_force(self, word):
         assert _avoids_231(word) == (not brute_contains(word, (2, 3, 1)))
+
+
+def _standardized_state(node, values):
+    """A machine node (stack, `_accept` state) with each letter replaced by
+    its rank among the distinct `values`; low = 0 stays 0."""
+    rank = dict(zip(values, standardize(values))) | {0: 0}
+    stack, (low, above) = node
+    return tuple(rank[y] for y in stack), (rank[low], tuple(rank[y] for y in above))
+
+
+class TestInsertionTree:
+    """The tree `census._walk` descends: words grown by relative insertion."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_cayley_permutation_once(self, n):
+        words = insertion_words(n)
+        assert len(words) == len(set(words)) == fubini_numbers(n)[n]
+        assert set(words) == set(universe(n))
+
+    @pytest.mark.parametrize("machine", SHARD_MACHINES, ids=lambda m: m.name)
+    def test_edge_step_tracks_the_standardised_state(self, machine):
+        # follow each word's insertion path through the walk's edges, and
+        # the machine along the word's own letters
+        sigmas, flush_all = machine.patterns, machine.flush_all
+        for w in words_up_to(6, 1):
+            node = actual = ((), (0, ()))
+            for i, x in enumerate(w):
+                seen = sorted(set(w[:i]))
+                k = len(seen)
+                move = seen.index(x) if x in seen else k + sum(y < x for y in seen)
+                v, values, stack, state = list(census._edges(k, *node))[move]
+                assert (v, values) == (standardize(w[: i + 1])[-1], len(set(w[: i + 1])))
+                node = _step(stack, state, v, sigmas, flush_all)
+                actual = _step(*actual, x, sigmas, flush_all)
+                if actual is None:
+                    assert node is None, (machine.name, w[: i + 1])
+                    break
+                assert node == _standardized_state(actual, w[: i + 1]), (machine.name, w[: i + 1])
+
+
+class TestAnchorsPastTheBound:
+    """Census values above the default length bound of 8, from the
+    formulas and tables they are known by."""
+
+    @pytest.fixture(autouse=True)
+    def _raise_bound(self, monkeypatch):
+        monkeypatch.setenv("CAYLEYSORT_MAX_N", "10")
+
+    def test_21_machine_at_nine(self):
+        assert count_sortable("sigma-machine 21", 9).counts[9] == 1990419
+
+    def test_321_machine(self):
+        counts = count_sortable("sigma-machine 321", 8).count_list()
+        assert counts == [(2 * 4 ** (n - 1) + 1) // 3 for n in range(1, 9)]
+
+    def test_hare_recurrence(self):
+        a = [0, *count_sortable("popstack hare", 10).count_list()]
+        assert a[10] == 99081
+        for n in range(4, 11):
+            assert a[n] == 5 * a[n - 1] - 6 * a[n - 2] + 4 * a[n - 3], n
+
+    def test_tortoise(self):
+        assert count_sortable("popstack tortoise", 10).count_list() == [
+            3 ** (n - 1) for n in range(1, 11)
+        ]
+        assert sum(tortoise_refined(10).values()) == 3**9
 
 
 def _involutive(w, sig):

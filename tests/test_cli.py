@@ -554,6 +554,29 @@ class TestWitness:
         assert code == 2
         assert "avoidance class" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["witness", "--sigma", "2 1"], ["verify", "class", "--sigma", "2 1", "--n", "5"]],
+    )
+    def test_fallback_warning_is_one_line(self, argv):
+        # the stored row for sigma = 21 fails validation; a fresh process
+        # shows the warning as Python's default filters do
+        src = str(Path(cayleysort.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("PYTHONWARNINGS", None)
+        result = subprocess.run(
+            [sys.executable, "-m", "cayleysort", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0
+        assert "beta: 3 4 2 4 1" in result.stdout
+        assert result.stderr == (
+            "warning: candidate witness (1, 3, 2)/(3, 5, 2, 4, 1) for sigma=2 1 "
+            "fails validation; falling back to exhaustive search\n"
+        )
+        assert ".py:" not in result.stderr
+
 
 class TestFertility:
     def test_count(self, capsys):
