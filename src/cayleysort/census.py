@@ -164,10 +164,10 @@ def _edges(k: int, stack: tuple, state: tuple):
         yield g + 1, k + 1, _raise(stack, g), (low + (low > g), _raise(above, g))
 
 
-def _walk(n: int, node: Word, machine: Machine):
-    """The sortable words among the length-n Cayley permutations below
-    `node`, a Cayley permutation of length at most n, in the insertion
-    tree, counted by running the machine's first stack one letter per edge.
+def _walk(n: int, machine: Machine):
+    """The sortable words among the length-n Cayley permutations, counted
+    on the insertion tree by running the machine's first stack one letter
+    per edge.
 
     The insertion tree grows words by relative insertion (`_edges`): the
     nodes on a word's path are the standardisations of its prefixes, so
@@ -179,11 +179,14 @@ def _walk(n: int, node: Word, machine: Machine):
     test is exact at a leaf, so every leaf reached is sortable and every
     unsortable word lies below a skipped edge.
 
-    The subtree below a node depends only on the letters to come, k, the
-    stack and the `_accept` state (the top of the stack, the last letter,
-    decides where a tortoise block starts).  So each such state's sortable
-    count is computed once and memoised, for every node below `node` with
-    letters to come; the memo lives for this one call.
+    The subtree below a node depends only on the letters to come, the stack
+    and the `_accept` state (the top of the stack, the last letter, decides
+    where a tortoise block starts).  Those also fix the node's number of
+    values k = max(stack, above, low): every letter read so far is in the
+    stack or popped, and the largest popped letter stays in `above` behind
+    a 21-stack and is `low` behind a pop-stack, whose accepted output only
+    increases weakly.  So each such state's sortable count is computed once
+    and memoised; the memo lives for this one call.
 
     Returns the number of sortable words, except for the tortoise (whose
     census is refined): a tuple of length n + 1 whose entry k counts the
@@ -207,7 +210,7 @@ def _walk(n: int, node: Word, machine: Machine):
             if left == 1:
                 got = (1,) if refine else 1
             else:
-                key = left - 1, values, child
+                key = left - 1, child
                 got = memo.get(key)
                 if got is None:
                     got = memo[key] = descend(left - 1, values, *child)
@@ -218,26 +221,12 @@ def _walk(n: int, node: Word, machine: Machine):
                 sortable += got
         return tuple(sortable) if refine else sortable
 
-    stack, state, blocks = (), (0, ()), 0
-    for v in node:
-        blocks += (stack[-1] if stack else 0) <= v
-        child = _step(stack, state, v, sigmas, flush_all)
-        if child is None:
-            return (0,) * (n + 1) if refine else 0
-        stack, state = child
-    sortable = descend(n - len(node), max(node, default=0), stack, state)
+    sortable = descend(n, 0, (), (0, ()))
     memo.clear()  # descend refers to itself, so the memo would outlive the call
-    return (0,) * blocks + sortable + (0,) * (len(node) - blocks) if refine else sortable
+    return sortable
 
 
-def _shard_counts(args: tuple[Machine, int, Word]) -> tuple[int, int | tuple[int, ...]]:
-    """Walk the length-n inputs below the insertion node `node`: (n, the
-    sortable words, see `_walk`)."""
-    machine, n, node = args
-    return n, _walk(n, node, machine)
-
-
-def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport:
+def count_sortable(machine: str, n_max: int) -> SequenceReport:
     """Count sortable inputs per length 1..n_max.
 
     `machine` is a descriptor (see `Machine.parse`); the report names it in
@@ -250,43 +239,21 @@ def count_sortable(machine: str, n_max: int, threads: int = 1) -> SequenceReport
     the walk counts only the sortable words.  The universe sizes are the
     Fubini numbers, which `verify fubini` checks against generation.  The
     tests compare the walk against one run of the machine per word
-    (`_run_word`).  With threads > 1 each length is sharded by its
-    insertion nodes at depth min(n, 3) (1, 3 or 13 of them) over a process
-    pool of at most one worker per shard; counts are summed, so the report
-    does not depend on the parallelism degree.  Only the tortoise report
-    carries the block-count refinement.
+    (`_run_word`).  Only the tortoise report carries the block-count
+    refinement.
     """
     m = Machine.parse(machine)
     _check_limit(n_max, census_limit(), "census")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     refine = m == _TORTOISE
     started = time.perf_counter()
     counts: dict[int, int] = {}
     refined: dict[tuple[int, int], int] = {}
-    jobs = [
-        (m, n, node)
-        for n in range(1, n_max + 1)
-        # the insertion nodes at depth d are the Cayley permutations of length d
-        for node in (generate_all(min(n, 3)) if threads > 1 else [()])
-    ]
-    # a pool starts all its workers at once, so never more than the shards
-    workers = min(threads, len(jobs))
-    if workers > 1:
-        # imported here: it loads multiprocessing, which serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_shard_counts, jobs))
-    else:
-        results = [_shard_counts(job) for job in jobs]
-    for n, sortable in results:
+    for n in range(1, n_max + 1):
+        sortable = _walk(n, m)
         if refine:
-            for k, c in enumerate(sortable):
-                if c:
-                    refined[n, k] = refined.get((n, k), 0) + c
+            refined.update(((n, k), c) for k, c in enumerate(sortable) if c)
             sortable = sum(sortable)
-        counts[n] = counts.get(n, 0) + sortable
+        counts[n] = sortable
     fubini = fubini_numbers(n_max)
     return SequenceReport(
         machine=m.name,
@@ -302,7 +269,7 @@ def tortoise_refined(n: int) -> dict[int, int]:
     maximal strictly decreasing blocks; checked against C(n-1,k-1)*2^(k-1).
     """
     _check_limit(n, census_limit(), "census")
-    refined = {k: c for k, c in enumerate(_walk(n, (), _TORTOISE)) if c}
+    refined = {k: c for k, c in enumerate(_walk(n, _TORTOISE)) if c}
     expected = {k: math.comb(n - 1, k - 1) * 2 ** (k - 1) for k in range(1, n + 1)}
     if n >= 1 and refined != expected:
         raise VerificationError(

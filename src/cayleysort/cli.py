@@ -25,25 +25,15 @@ from .core import generate_all, reverse  # noqa: F401
 from . import census, dyck, pattern, stack
 
 
-def _int_at_least(low: int):
-    """Argparse type: an integer of at least `low` (else exit status 2)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer of at least {low}, got {text!r}"
-            )
-        return value
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
+def _nonnegative_int(text: str) -> int:
+    """Argparse type: a nonnegative integer (else exit status 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'sigma-machine <perm>', 'popstack hare' or 'popstack tortoise'",
     )
     p.add_argument("--n-max", type=_nonnegative_int, required=True)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--format", choices=("text", "csv", "bfile"), default="text")
     p.set_defaults(func=cmd_enumerate)
 
@@ -152,7 +141,7 @@ def cmd_dyck(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    report = census.count_sortable(args.machine, args.n_max, threads=args.threads)
+    report = census.count_sortable(args.machine, args.n_max)
     if args.format == "csv":
         print(report.to_csv())
     elif args.format == "bfile":

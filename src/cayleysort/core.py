@@ -174,21 +174,14 @@ def is_weakly_increasing(seq: Iterable[int]) -> bool:
     return all(a <= b for a, b in zip(letters, letters[1:]))
 
 
-def generate_all(n: int, prefix: Word = ()) -> Iterator[CayleyPerm]:
+def generate_all(n: int) -> Iterator[CayleyPerm]:
     """All Cayley permutations of length n, lexicographically.
 
-    Streams; never materializes the universe.  `prefix` restricts to the
-    permutations starting with those letters (no sweep uses it: the census
-    shards by insertion nodes, `census._walk(n, node)`); a prefix no
-    length-n Cayley permutation starts with yields nothing.
-    Guards are checked eagerly, before the first element is drawn: the
-    length bound, and that every prefix letter is an int.
+    Streams; never materializes the universe.  The length bound is checked
+    eagerly, before the first element is drawn.
     """
     _check_limit(n, generation_limit(), "generation")
-    for v in prefix:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"prefix letter {v!r} is not an integer")
-    return (_wrap(letters) for letters in _iter_letters(n, prefix))
+    return (_wrap(letters) for letters in _iter_letters(n))
 
 
 @functools.cache
@@ -214,23 +207,13 @@ def _children(left: int, top: int, unused: int) -> tuple[tuple[int, int, int], .
     return tuple(kids)
 
 
-def _iter_letters(n: int, prefix: Word = ()) -> Iterator[Word]:
+def _iter_letters(n: int) -> Iterator[Word]:
     """Raw-tuple generator behind `generate_all` (no guard, no wrapping).
 
-    Replays `prefix` down the `_children` table from the root, then walks
-    the subtree below it depth first, children in increasing order.  Yields
-    in lexicographic order, nothing for a prefix no length-n Cayley
-    permutation starts with.
+    Walks the prefix tree down the `_children` table depth first, children
+    in increasing order, so it yields in lexicographic order.
     """
-    node = n, 0, 0
-    for letter in prefix:
-        for v, top, unused in _children(*node):
-            if v == letter:
-                node = node[0] - 1, top, unused
-                break
-        else:
-            return
-    word = list(prefix)
+    word: list[int] = []
 
     def descend(left, top, unused):
         for v, t, u in _children(left, top, unused):
@@ -241,10 +224,10 @@ def _iter_letters(n: int, prefix: Word = ()) -> Iterator[Word]:
                 yield tuple(word)
             word.pop()
 
-    if node[0]:
-        yield from descend(*node)
+    if n:
+        yield from descend(n, 0, 0)
     else:
-        yield tuple(word)
+        yield ()
 
 
 def fubini_numbers(n_max: int) -> list[int]:

@@ -1,7 +1,5 @@
 """Censuses, classness verdicts, witnesses, and the verification laws."""
 
-import concurrent.futures
-import dataclasses
 import gc
 import tracemalloc
 from functools import lru_cache
@@ -46,7 +44,6 @@ from cayleysort.census import (
     _TORTOISE,
     WITNESS_TABLE,
     _class_targets,
-    _shard_counts,
     _word_sortable,
 )
 from cayleysort.core import _iter_letters, fubini_numbers
@@ -128,45 +125,6 @@ class TestCountSortable:
             (2, 1): 1, (2, 2): 2,
             (3, 1): 1, (3, 2): 4, (3, 3): 4,
         }
-
-    def test_parallel_run_matches_serial(self):
-        strip = lambda r: dataclasses.replace(r, elapsed=0.0)
-        for machine, n in (("popstack tortoise", 4), ("sigma-machine 21", 6)):
-            serial = count_sortable(machine, n, threads=1)
-            parallel = count_sortable(machine, n, threads=2)
-            assert strip(serial) == strip(parallel)
-
-    @pytest.mark.parametrize(
-        "n_max, threads, workers", [(3, 5000, 17), (3, 4, 4), (1, 8, None), (0, 8, None)]
-    )
-    def test_pool_has_at_most_one_worker_per_shard(self, monkeypatch, n_max, threads, workers):
-        # a stand-in pool records its size and maps serially; no process starts
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        # count_sortable imports the pool class from its module only when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        strip = lambda r: dataclasses.replace(r, elapsed=0.0)
-        report = count_sortable("popstack hare", n_max, threads=threads)
-        assert strip(report) == strip(count_sortable("popstack hare", n_max))
-        assert started == ([] if workers is None else [workers])
-
-    @pytest.mark.parametrize("threads", [0, -4])
-    def test_rejects_nonpositive_threads(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            count_sortable("popstack hare", 3, threads=threads)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -460,47 +418,7 @@ def _assert_walk_matches_sweep(machine, n_max):
         assert report.refined == refined
 
 
-@lru_cache(maxsize=None)
-def _shard_words(n):
-    """The length-n words by their insertion node at depth min(n, 3), the
-    shards of a threaded census: the standardisation of their prefix."""
-    shards = {}
-    for w in universe(n):
-        shards.setdefault(standardize(w[:3]), []).append(w)
-    return shards
-
-
-def _per_word_count(machine, n, words):
-    """The sortable words among `words` of length n, one run per word: for
-    the tortoise a tuple whose entry k counts those with k blocks
-    (`tortoise_blocks`), for every other machine a count."""
-    sortable = [
-        w for w in words if machine.accepts(_run_word(w, machine.patterns, machine.flush_all))
-    ]
-    if machine != _TORTOISE:
-        return len(sortable)
-    by_blocks = [0] * (n + 1)
-    for w in sortable:
-        by_blocks[len(tortoise_blocks(w))] += 1
-    return tuple(by_blocks)
-
-
-def _assert_shards_match_per_word_runs(machine, n_max):
-    """Each shard's walk, and the root walk of a serial census, against one
-    run per word."""
-    for n in range(1, n_max + 1):
-        shards = _shard_words(n)
-        assert sorted(shards) == list(universe(min(n, 3)))
-        for node, words in shards.items():
-            assert census._walk(n, node, machine) == _per_word_count(machine, n, words), (
-                machine.name, n, node,
-            )
-        assert census._walk(n, (), machine) == _per_word_count(machine, n, universe(n)), (
-            machine.name, n,
-        )
-
-
-SHARD_MACHINES = [
+WALK_MACHINES = [
     Machine.sigma((2, 1)), Machine.sigma((3, 2, 1)), Machine.sigma((2, 2, 1, 3)),
     Machine.popstack("hare"), _TORTOISE,
 ]
@@ -517,47 +435,11 @@ def _sortable_words_to_seven(machine):
 
 
 class TestCensusWalk:
-    """The prefix-tree walk behind count_sortable against per-word sweeps."""
+    """The insertion-tree walk behind count_sortable against per-word sweeps."""
 
-    def test_memoised_shards_sigma_panel_to_six(self):
+    def test_sigma_panel_to_six(self):
         for sigma in sigma_panel():
-            _assert_shards_match_per_word_runs(Machine.sigma(sigma), 6)
-
-    @pytest.mark.parametrize("machine", SHARD_MACHINES, ids=lambda m: m.name)
-    def test_memoised_shards_to_seven(self, machine):
-        _assert_shards_match_per_word_runs(machine, 7)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("machine", SHARD_MACHINES, ids=lambda m: m.name)
-    def test_pruned_line_counts_the_unsortable_words(self, machine, threads):
-        report = count_sortable(machine.name, 7, threads=threads)
-        universe_size = sum(fubini_numbers(7)[1:])
-        pruned = universe_size - _sortable_words_to_seven(machine)
-        line = f"pruned: {pruned} of {universe_size} words below skipped edges"
-        assert report.to_text().splitlines()[-2] == line
-
-    def test_walk_keeps_no_memo(self):
-        # descend refers to itself, so only emptying the memo frees it
-        # without a gc pass
-        machine = Machine.sigma((2, 1))
-        nodes = [(), *universe(3)]  # the serial root and the shard roots
-        for node in nodes:
-            census._walk(7, node, machine)  # warm up once
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for node in nodes:
-                census._walk(7, node, machine)
-            after = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert after - before < 64 * 1024
-
-    def test_sigma_panel_to_five(self):
-        for sigma in sigma_panel():
-            _assert_walk_matches_sweep("sigma-machine " + str(sigma), 5)
+            _assert_walk_matches_sweep("sigma-machine " + str(sigma), 6)
 
     @pytest.mark.parametrize("sigma", ["1 1", "1 2", "2 1", "2 3 1", "3 2 1", "2 2 1 3"])
     def test_sigmas_to_seven(self, sigma):
@@ -567,25 +449,40 @@ class TestCensusWalk:
     def test_popstacks_to_seven(self, machine):
         _assert_walk_matches_sweep(machine, 7)
 
-    def test_21_shards_agree_with_naive_oracle(self):
-        for n in range(1, 7):
-            for node, words in _shard_words(n).items():
-                naive = [w for w in words if _naive_sorts(w, (2, 1))]
-                assert [w for w in words if _word_sortable(Machine.sigma((2, 1)), w)] == naive
-                assert _shard_counts((Machine.sigma((2, 1)), n, node)) == (n, len(naive))
-
-    @pytest.mark.parametrize(
-        "machine", ["sigma-machine 21", "sigma-machine 3 2 1", "popstack hare", "popstack tortoise"]
-    )
-    def test_visited_plus_pruned_is_the_universe(self, machine):
+    @pytest.mark.parametrize("machine", WALK_MACHINES, ids=lambda m: m.name)
+    def test_pruned_line_counts_the_unsortable_words(self, machine):
         # the walk reaches the sortable words and prunes the rest
-        report = count_sortable(machine, 7)
+        report = count_sortable(machine.name, 7)
         fubini = fubini_numbers(7)
         assert report.universe_sizes == {n: fubini[n] for n in range(1, 8)}
-        pruned = sum(fubini[1:]) - sum(report.counts.values())
-        line = f"pruned: {pruned} of {sum(fubini[1:])} words below skipped edges"
+        universe_size = sum(fubini[1:])
+        pruned = universe_size - _sortable_words_to_seven(machine)
+        line = f"pruned: {pruned} of {universe_size} words below skipped edges"
         assert report.to_text().splitlines()[-2] == line
         assert fubini[7] - report.counts[7] > 0
+
+    def test_walk_keeps_no_memo(self):
+        # descend refers to itself, so only emptying the memo frees it
+        # without a gc pass
+        machine = Machine.sigma((2, 1))
+        census._walk(7, machine)  # warm up once
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            census._walk(7, machine)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert after - before < 64 * 1024
+
+    def test_21_walk_agrees_with_naive_oracle(self):
+        m21 = Machine.sigma((2, 1))
+        for n in range(1, 7):
+            naive = [w for w in universe(n) if _naive_sorts(w, (2, 1))]
+            assert [w for w in universe(n) if _word_sortable(m21, w)] == naive
+            assert census._walk(n, m21) == len(naive)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=7), max_size=12))
@@ -610,7 +507,7 @@ class TestInsertionTree:
         assert len(words) == len(set(words)) == fubini_numbers(n)[n]
         assert set(words) == set(universe(n))
 
-    @pytest.mark.parametrize("machine", SHARD_MACHINES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("machine", WALK_MACHINES, ids=lambda m: m.name)
     def test_edge_step_tracks_the_standardised_state(self, machine):
         # follow each word's insertion path through the walk's edges, and
         # the machine along the word's own letters
@@ -628,6 +525,9 @@ class TestInsertionTree:
                 if actual is None:
                     assert node is None, (machine.name, w[: i + 1])
                     break
+                # the memo key leaves k out: the state fixes it
+                st, (low, above) = node
+                assert max((*st, *above, low)) == values, (machine.name, w[: i + 1])
                 assert node == _standardized_state(actual, w[: i + 1]), (machine.name, w[: i + 1])
 
 
