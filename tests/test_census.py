@@ -418,6 +418,26 @@ def _assert_walk_matches_sweep(machine, n_max):
         assert report.refined == refined
 
 
+def _per_word_count(machine, n):
+    """The sortable length-n words, one run per word: for the tortoise a
+    tuple whose entry k counts those with k blocks (`tortoise_blocks`), for
+    every other machine a count."""
+    sortable = [
+        w for w in universe(n) if machine.accepts(_run_word(w, machine.patterns, machine.flush_all))
+    ]
+    if machine != _TORTOISE:
+        return len(sortable)
+    by_blocks = [0] * (n + 1)
+    for w in sortable:
+        by_blocks[len(tortoise_blocks(w))] += 1
+    return tuple(by_blocks)
+
+
+def _assert_root_walk_matches_per_word_runs(machine, n_max):
+    for n in range(1, n_max + 1):
+        assert census._walk(n, machine) == _per_word_count(machine, n), (machine.name, n)
+
+
 WALK_MACHINES = [
     Machine.sigma((2, 1)), Machine.sigma((3, 2, 1)), Machine.sigma((2, 2, 1, 3)),
     Machine.popstack("hare"), _TORTOISE,
@@ -437,29 +457,21 @@ def _sortable_words_to_seven(machine):
 class TestCensusWalk:
     """The insertion-tree walk behind count_sortable against per-word sweeps."""
 
-    def test_sigma_panel_to_six(self):
+    def test_memoised_walk_sigma_panel_to_six(self):
         for sigma in sigma_panel():
-            _assert_walk_matches_sweep("sigma-machine " + str(sigma), 6)
+            _assert_root_walk_matches_per_word_runs(Machine.sigma(sigma), 6)
 
-    @pytest.mark.parametrize("sigma", ["1 1", "1 2", "2 1", "2 3 1", "3 2 1", "2 2 1 3"])
-    def test_sigmas_to_seven(self, sigma):
-        _assert_walk_matches_sweep("sigma-machine " + sigma, 7)
-
-    @pytest.mark.parametrize("machine", ["popstack hare", "popstack tortoise"])
-    def test_popstacks_to_seven(self, machine):
-        _assert_walk_matches_sweep(machine, 7)
+    @pytest.mark.parametrize("machine", WALK_MACHINES, ids=lambda m: m.name)
+    def test_memoised_walk_to_seven(self, machine):
+        _assert_root_walk_matches_per_word_runs(machine, 7)
 
     @pytest.mark.parametrize("machine", WALK_MACHINES, ids=lambda m: m.name)
     def test_pruned_line_counts_the_unsortable_words(self, machine):
-        # the walk reaches the sortable words and prunes the rest
         report = count_sortable(machine.name, 7)
-        fubini = fubini_numbers(7)
-        assert report.universe_sizes == {n: fubini[n] for n in range(1, 8)}
-        universe_size = sum(fubini[1:])
+        universe_size = sum(fubini_numbers(7)[1:])
         pruned = universe_size - _sortable_words_to_seven(machine)
         line = f"pruned: {pruned} of {universe_size} words below skipped edges"
         assert report.to_text().splitlines()[-2] == line
-        assert fubini[7] - report.counts[7] > 0
 
     def test_walk_keeps_no_memo(self):
         # descend refers to itself, so only emptying the memo frees it
@@ -483,6 +495,31 @@ class TestCensusWalk:
             naive = [w for w in universe(n) if _naive_sorts(w, (2, 1))]
             assert [w for w in universe(n) if _word_sortable(m21, w)] == naive
             assert census._walk(n, m21) == len(naive)
+
+    def test_sigma_panel_to_five(self):
+        for sigma in sigma_panel():
+            _assert_walk_matches_sweep("sigma-machine " + str(sigma), 5)
+
+    @pytest.mark.parametrize("sigma", ["1 1", "1 2", "2 1", "2 3 1", "3 2 1", "2 2 1 3"])
+    def test_sigmas_to_seven(self, sigma):
+        _assert_walk_matches_sweep("sigma-machine " + sigma, 7)
+
+    @pytest.mark.parametrize("machine", ["popstack hare", "popstack tortoise"])
+    def test_popstacks_to_seven(self, machine):
+        _assert_walk_matches_sweep(machine, 7)
+
+    @pytest.mark.parametrize(
+        "machine", ["sigma-machine 21", "sigma-machine 3 2 1", "popstack hare", "popstack tortoise"]
+    )
+    def test_visited_plus_pruned_is_the_universe(self, machine):
+        # the walk reaches the sortable words and prunes the rest
+        report = count_sortable(machine, 7)
+        fubini = fubini_numbers(7)
+        assert report.universe_sizes == {n: fubini[n] for n in range(1, 8)}
+        pruned = sum(fubini[1:]) - sum(report.counts.values())
+        line = f"pruned: {pruned} of {sum(fubini[1:])} words below skipped edges"
+        assert report.to_text().splitlines()[-2] == line
+        assert fubini[7] - report.counts[7] > 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=7), max_size=12))

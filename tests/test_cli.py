@@ -166,6 +166,14 @@ class TestEnumerate:
         assert code == 2
         assert "CAYLEYSORT_MAX_N" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, threads):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--machine", "popstack hare", "--n-max", "3",
+                  "--threads", threads])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_threads_option_is_usage_error(self, capsys):
         # the census is serial; argparse exits on the option, no traceback
         with pytest.raises(SystemExit) as info:
