@@ -9,7 +9,7 @@ up-step) marks an input letter that triggered the restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from .core import Word
@@ -29,27 +29,32 @@ class LabeledDyckPath:
 
     Valid paths never dip below the axis, end at height zero, and give any
     up-step the same label as its matching down-step (the first down-step
-    that returns below the up-step's height).
+    that returns below the up-step's height).  The constructor checks this
+    in the one scan that records the matching `matched_pairs` returns.
     """
 
     steps: tuple[tuple[str, int], ...]
+    _pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple((d, v) for d, v in self.steps))
-        pending: list[tuple[str, int]] = []
-        for step in self.steps:
-            direction, _ = step
+        pending: list[tuple[int, int]] = []
+        pairs: list[tuple[int, int]] = []
+        for i, (direction, label) in enumerate(self.steps):
             if direction == U:
-                pending.append(step)
+                pending.append((i, label))
             elif direction == D:
                 if not pending:
                     raise ValueError("path dips below the axis")
-                if pending.pop()[1] != step[1]:
+                up, up_label = pending.pop()
+                if up_label != label:
                     raise ValueError("matched steps carry different labels")
+                pairs.append((up, i))
             else:
                 raise ValueError(f"step direction {direction!r} is not U or D")
         if pending:
             raise ValueError("path does not return to the axis")
+        object.__setattr__(self, "_pairs", tuple(pairs))
 
     def step_string(self) -> str:
         return "".join(d for d, _ in self.steps)
@@ -105,16 +110,9 @@ def heights(path: LabeledDyckPath) -> list[int]:
 
 
 def matched_pairs(path: LabeledDyckPath) -> list[tuple[int, int]]:
-    """(up index, down index) for each matched step pair, by a pending-up
-    scan — the single source of truth for the matching."""
-    pending: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    for i, (d, _) in enumerate(path.steps):
-        if d == U:
-            pending.append(i)
-        else:
-            pairs.append((pending.pop(), i))
-    return pairs
+    """(up index, down index) for each matched step pair, in order of the
+    down step, as the constructor's validating scan recorded them."""
+    return list(path._pairs)
 
 
 def valleys(path: LabeledDyckPath) -> list[tuple[int, int, int]]:
@@ -137,22 +135,25 @@ def reverse_path(path: LabeledDyckPath | str) -> str:
 
     Labels are dropped: reversal is a statement about shapes.  For any sigma
     with equal first letters, the path of p is the reverse of the path of
-    reverse(s_sigma(p)).
+    reverse(s_sigma(p)).  A step string is checked as a path with placeholder
+    labels, so anything but a Dyck word of U and D raises ValueError.
     """
-    steps = path if isinstance(path, str) else path.step_string()
-    return "".join(U if d == D else D for d in reversed(steps))
+    if isinstance(path, str):
+        path = LabeledDyckPath(tuple((d, 0) for d in path))
+    return "".join(U if d == D else D for d in reversed(path.step_string()))
 
 
 def returns_decomposition(path: LabeledDyckPath) -> list[LabeledDyckPath]:
     """Split at each return to the axis into labeled sub-paths.
 
     Each piece is itself a valid path; pieces correspond to the maximal
-    segments between moments the stack empties.
+    segments between moments the stack empties.  A piece ends at the down
+    step that the constructor's matching pairs with its first up step.
     """
     pieces: list[LabeledDyckPath] = []
     start = 0
-    for i, h in enumerate(heights(path)):
-        if h == 0:
-            pieces.append(LabeledDyckPath(path.steps[start : i + 1]))
-            start = i + 1
+    for up, down in path._pairs:
+        if up == start:
+            pieces.append(LabeledDyckPath(path.steps[start : down + 1]))
+            start = down + 1
     return pieces

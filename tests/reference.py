@@ -214,3 +214,21 @@ def insertion_words(n):
                 grown.append(tuple(x + 1 if x > g else x for x in w) + (g + 1,))
         words = grown
     return words
+
+
+def dyck_matching(steps):
+    """(up index, down index) of each matched step pair, in order of the
+    down step.  By definition the up step at i matches the first later step
+    after which the height is back to the height before step i; the height
+    after a prefix is its U steps minus its D steps."""
+
+    def height(prefix):
+        return sum(1 if d == "U" else -1 for d, _ in prefix)
+
+    pairs = []
+    for i, (d, _) in enumerate(steps):
+        if d == "U":
+            before = height(steps[:i])
+            j = next(j for j in range(i + 1, len(steps)) if height(steps[: j + 1]) == before)
+            pairs.append((i, j))
+    return sorted(pairs, key=lambda pair: pair[1])

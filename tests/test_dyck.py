@@ -1,5 +1,7 @@
 """Labeled lattice-path view of machine runs."""
 
+from itertools import accumulate
+
 import pytest
 
 from cayleysort import (
@@ -18,7 +20,7 @@ from cayleysort import (
     valleys,
 )
 from conftest import SIGMA_PANEL16, words_up_to
-from reference import naive_machine
+from reference import dyck_matching, naive_machine
 
 # sigma-stack run on 4 2 1 3 2 with sigma = 11 (see the stack trace tests)
 EXAMPLE = encode((4, 2, 1, 3, 2), (1, 1))
@@ -31,23 +33,29 @@ class TestLabeledDyckPath:
         assert down_labels(EXAMPLE) == (3, 1, 2, 2, 4)
 
     def test_rejects_unbalanced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not return to the axis"):
             LabeledDyckPath((("U", 1),))
 
     def test_rejects_dip_below_axis(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dips below the axis"):
             LabeledDyckPath((("D", 1), ("U", 1)))
 
     def test_rejects_label_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matched steps carry different labels"):
             LabeledDyckPath((("U", 1), ("D", 2)))
 
     def test_rejects_unknown_direction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="step direction 'X' is not U or D"):
             LabeledDyckPath((("X", 1), ("D", 1)))
+
+    def test_rejects_step_that_is_not_a_pair(self):
+        with pytest.raises(ValueError):
+            LabeledDyckPath((("U", 1, 0), ("D", 1)))
 
     def test_nested_labels_match_inside_out(self):
         path = LabeledDyckPath((("U", 5), ("U", 2), ("D", 2), ("D", 5)))
+        assert matched_pairs(path) == [(1, 2), (0, 3)]
+        matched_pairs(path).clear()  # a copy: the path keeps its matching
         assert matched_pairs(path) == [(1, 2), (0, 3)]
 
     def test_to_text_three_lines(self):
@@ -80,6 +88,20 @@ class TestPathStatistics:
         assert reverse_path(EXAMPLE) == "UUDUUUDDDD"
         assert reverse_path(reverse_path(EXAMPLE)) == EXAMPLE.step_string()
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ("UDX", "step direction 'X' is not U or D"),
+            ("ud", "step direction 'u' is not U or D"),
+            ("UU", "does not return to the axis"),
+            ("DU", "dips below the axis"),
+        ],
+        ids=["UDX", "ud", "UU", "DU"],
+    )
+    def test_reverse_path_rejects_invalid_step_string(self, steps, message):
+        with pytest.raises(ValueError, match=message):
+            reverse_path(steps)
+
     def test_returns_decomposition(self):
         path = LabeledDyckPath(
             (("U", 1), ("U", 3), ("D", 3), ("D", 1), ("U", 2), ("D", 2))
@@ -94,6 +116,26 @@ class TestPathStatistics:
 
 
 class TestEncodeInvariants:
+    @pytest.mark.parametrize(
+        "sigma", SIGMA_PANEL16, ids=["".join(map(str, s)) for s in SIGMA_PANEL16]
+    )
+    def test_stored_matching_follows_the_definition(self, sigma):
+        for p in words_up_to(5):
+            path = encode(p, sigma)
+            pairs = matched_pairs(path)
+            assert pairs == dyck_matching(path.steps)
+            assert all(path.steps[a][1] == path.steps[b][1] for a, b in pairs)
+            pieces = returns_decomposition(path)
+            assert sum((q.steps for q in pieces), ()) == path.steps
+            for q in pieces:
+                # each piece touches the axis only at its last step
+                hs = accumulate(1 if d == "U" else -1 for d, _ in q.steps)
+                assert [h == 0 for h in hs] == [False] * (len(q.steps) - 1) + [True]
+            rebuilt = LabeledDyckPath(path.steps)
+            assert rebuilt == path
+            assert hash(rebuilt) == hash(path)
+            assert repr(rebuilt) == repr(path)
+
     @pytest.mark.parametrize(
         "sigma", SIGMA_PANEL16, ids=["".join(map(str, s)) for s in SIGMA_PANEL16]
     )
