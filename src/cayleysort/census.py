@@ -2,12 +2,13 @@
 
 Every census and law check covers all Cayley permutations up to a length
 bound (default 8), mostly by walking a tree of them one machine step per
-edge (the insertion tree for censuses, the prefix tree for laws), and
-checks with no sampling that the simulated machines agree with their
-closed-form characterizations: avoidance-set descriptions of sortable
-sets, the mesh characterization of the 21-machine, bijectivity and
-involution laws of the maps s_sigma, pop-stack counting formulas, and
-non-closure witnesses.
+edge: the insertion tree, whose nodes are the standardised prefixes, for
+censuses and avoidance laws, and the prefix tree (`stack._outputs`) for
+the laws of s_sigma as a map.  It checks with no sampling that the
+simulated machines agree with their closed-form characterizations:
+avoidance-set descriptions of sortable sets, the mesh characterization
+of the 21-machine, bijectivity and involution laws of the maps s_sigma,
+pop-stack counting formulas, and non-closure witnesses.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     CayleyPerm,
     Word,
     _check_limit,
-    _children,
     _iter_letters,
     _wrap,
     census_limit,
@@ -52,7 +52,7 @@ from .stack import (
 )
 
 # Not called here (the census walk counts blocks itself, the law sweeps
-# reverse tuples by slicing and find mesh occurrences on the prefix tree,
+# reverse tuples by slicing and find mesh occurrences edge by edge,
 # `stack._accept` is the one sorted-output test, and the witness search
 # steps down by one-point deletions); kept because perfbench/tracer.py
 # wraps these five names in census.
@@ -147,7 +147,15 @@ class SequenceReport:
 
 def _raise(values: tuple, g: int) -> tuple:
     """Make room for a new value g + 1: every value above g rises by one."""
-    return tuple(y + (y > g) for y in values)
+    # from a list, tuple() takes a tuple of the exact size off CPython's
+    # free list; from a generator it shrinks a larger one, whose release
+    # grows the free list (a law walk at n = 7 left 2,000 tuples of each
+    # length 1..6 there, 0.6 MB, for the life of the process)
+    return tuple([y + (y > g) for y in values])
+
+
+#: The stack and `_accept` state at the root of the insertion tree.
+_ROOT = (), (0, ())
 
 
 def _edges(k: int, stack: tuple, state: tuple):
@@ -221,7 +229,7 @@ def _walk(n: int, machine: Machine):
                 sortable += got
         return tuple(sortable) if refine else sortable
 
-    sortable = descend(n, 0, (), (0, ()))
+    sortable = descend(n, 0, *_ROOT)
     memo.clear()  # descend refers to itself, so the memo would outlive the call
     return sortable
 
@@ -300,24 +308,31 @@ def _law_walk(
     basis: tuple[Word, ...],
     meshes: tuple[CayleyMeshPattern, ...] = (),
 ) -> Iterator[Word]:
-    """Yield, in `_iter_letters` order, the length-n words w on which "the
-    machine sorts w" equals "w contains a pattern of `basis` or of
-    `meshes`": the counterexamples to Sort(machine) = Av(basis, meshes).
+    """Yield, in `_iter_letters` (lexicographic) order, the length-n words w
+    on which "the machine sorts w" equals "w contains a pattern of `basis`
+    or of `meshes`": the counterexamples to Sort(machine) = Av(basis,
+    meshes).
 
-    Walks the prefix tree down the `_children` table as `_outputs` does,
-    one `stack._step` per edge.  A node carries the machine's (stack,
-    `_accept` state), or None once a step has found that no completion is
-    sorted: the machine is then dead.  It also carries whether its prefix
-    is blocked (contains a pattern).  Containment only grows along a
-    branch, so an unblocked node asks only whether its new letter
-    completes an occurrence as its last letter: the reversed pattern with
-    that letter fixed first, embedded into the reversed prefix.  That
-    fails for a mesh pattern with a cell after its last position, which
-    later letters can fill, so such a pattern raises ValueError.
+    Walks the insertion tree down `_edges` as the census walk does, one
+    `stack._step` per edge.  A node is a Cayley permutation on 1..k, the
+    standardised prefix; a new-value edge relabels it with `_raise`
+    together with the stack and the `_accept` state.  The node carries the
+    machine's (stack, `_accept` state), or None once a step has found that
+    no completion is sorted: the machine is then dead.  At a leaf the step
+    tests the whole output, so there `child is not None` is exactly "the
+    machine sorts w".  The node also carries whether it is blocked
+    (contains a pattern).  Every test only compares letters, and a node is
+    a pattern of each node below it, so death and blocking pass down the
+    tree.  An unblocked node asks only whether its new letter completes an
+    occurrence as its last letter: the reversed pattern with that letter
+    fixed first, embedded into the reversed word.  That fails for a mesh
+    pattern with a cell after its last position, which later letters can
+    fill, so such a pattern raises ValueError, at the first `next`.
 
     A node that is dead and blocked is settled: every leaf below it is
     unsortable and blocked, so none is a counterexample, and its subtree is
-    skipped unvisited.
+    skipped unvisited.  The leaves come in insertion order, so the length's
+    counterexamples are sorted before the first is yielded.
     """
     for mp in meshes:
         if any(i == len(mp.tau) for i, _ in mp.gap_cells | mp.eq_cells):
@@ -325,27 +340,28 @@ def _law_walk(
     sigmas, flush_all = machine.patterns, machine.flush_all
     reversed_basis = tuple(tuple(p)[::-1] for p in basis)
     reversed_meshes = tuple(_reverse_mesh(mp) for mp in meshes)
-    word: list[int] = []
+    found: list[Word] = []
 
-    def descend(left, top, unused, node, blocked):
-        for v, t, u in _children(left, top, unused):
+    def descend(left, k, word, node, blocked):
+        # a dead node has no state to relabel; its edges carry the root's
+        for v, values, stack, state in _edges(k, *(node or _ROOT)):
+            w = _raise(word, v - 1) if values > k else word
             hit = (
                 blocked
-                or _creates_occurrence(word, v, reversed_basis)
-                or any(_creates_mesh(word, v, rmp) for rmp in reversed_meshes)
+                or _creates_occurrence(w, v, reversed_basis)
+                or any(_creates_mesh(w, v, rmp) for rmp in reversed_meshes)
             )
-            child = None if node is None else _step(*node, v, sigmas, flush_all)
+            child = None if node is None else _step(stack, state, v, sigmas, flush_all)
             if child is None and hit:
                 continue  # settled
-            word.append(v)
             if left > 1:
-                yield from descend(left - 1, t, u, child, hit)
+                descend(left - 1, values, (*w, v), child, hit)
             elif (child is not None) == hit:
-                yield tuple(word)
-            word.pop()
+                found.append((*w, v))
 
     if n:
-        yield from descend(n, 0, 0, ((), (0, ())), False)
+        descend(n, 0, (), _ROOT, False)
+    yield from sorted(found)
 
 
 def _law_violations(n_max: int, machine: Machine, basis, meshes=()) -> Iterator[CayleyPerm]:

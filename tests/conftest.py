@@ -38,8 +38,11 @@ def random_words(min_len, max_len, max_letter):
 def corrupt_law_basis(monkeypatch) -> list[int]:
     """Make (1, 2, 3) the one counterexample of every law sweep: at length
     3, add 123 to the basis `census._law_walk` gets, or drop it where it is
-    there (Sort(321) avoids 132 and 123).  Returns the list the lengths of
-    the walks are appended to."""
+    there (Sort(321) avoids 132 and 123).  `census._law_violations` calls
+    the walk once per length, shortest first, and each call walks the whole
+    insertion tree of its length before it yields; so the returned list,
+    to which every call appends its length, shows which lengths a sweep
+    walked before it stopped."""
     real = census._law_walk
     lengths = []
 

@@ -64,6 +64,22 @@ def test_only_stack_knows_how_a_machine_pops():
     assert reached == []
 
 
+def test_only_core_and_stack_walk_the_prefix_tree():
+    # generation and the output sweep yield words in lexicographic order
+    # and so descend the prefix table `_children`; the census and law walks
+    # descend the insertion tree (`census._edges`) and never read it
+    reached = []
+    for path in sorted((ROOT / "src" / "cayleysort").glob("*.py")):
+        if path.stem in ("core", "stack"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                reached += [(path.stem, a.name) for a in node.names if a.name == "_children"]
+            elif isinstance(node, ast.Attribute) and node.attr == "_children":
+                reached.append((path.stem, node.attr))
+    assert reached == []
+
+
 def test_no_module_lists_patterns_by_index_subsets():
     # the package lists the proper patterns a word's member set rejects by
     # one-point deletions alone; `subpatterns`, the 2^n index-subset

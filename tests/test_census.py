@@ -52,6 +52,7 @@ from cayleysort.stack import Machine, _avoids_231, _outputs, _run_word, _step
 from conftest import corrupt_law_basis, universe, words_up_to
 from reference import (
     brute_contains,
+    brute_contains_mesh,
     brute_search_witness,
     insertion_words,
     naive_machine,
@@ -746,15 +747,53 @@ _WRONG_LAWS = {
 }
 
 
+def _naive_violations(n, machine, basis, meshes=()):
+    """The law walk's answer from its definition, with no package code:
+    every length-n word by relative insertion, sorted; sortability by the
+    naive first stack (and the naive 21-stack behind a sigma-stack);
+    containment by trying every index subset."""
+
+    def sorts(w):
+        out = naive_machine(w, machine.patterns, machine.flush_all)[0]
+        if not machine.flush_all:
+            out = naive_machine(out, [(2, 1)])[0]
+        return list(out) == sorted(out)
+
+    def contained(w):
+        return any(brute_contains(w, b) for b in basis) or any(
+            brute_contains_mesh(w, mp) for mp in meshes
+        )
+
+    return [w for w in sorted(insertion_words(n)) if sorts(w) == contained(w)]
+
+
 class TestLawWalk:
-    """`_law_walk`, the prefix-tree sweep behind the law checks, against a
-    per-word loop over the machine outputs with `contains` and
-    `contains_mesh`."""
+    """`_law_walk`, the insertion-tree sweep behind the law checks, against
+    a per-word loop over the machine outputs with `contains` and
+    `contains_mesh`, and against the naive machine and brute-force
+    containment of `reference`.  The walk's leaves come in insertion
+    order, so these also pin the per-length sort into lexicographic order
+    and the relabelling of the word on a new-value edge."""
 
     @pytest.mark.parametrize("law", _TRUE_LAWS.values(), ids=_TRUE_LAWS.keys())
     def test_true_laws_to_six(self, law):
         for n in range(7):
             assert list(census._law_walk(n, *law)) == _per_word_violations(n, *law) == []
+
+    @pytest.mark.parametrize("name", ["mesh21", "hare", "tortoise", "class-321"])
+    def test_cli_laws_at_seven(self, name):
+        # the four avoidance laws that `cayleysort verify` checks
+        law = _TRUE_LAWS[name]
+        assert list(census._law_walk(7, *law)) == _per_word_violations(7, *law) == []
+
+    @pytest.mark.parametrize("law", _WRONG_LAWS.values(), ids=_WRONG_LAWS.keys())
+    def test_wrong_laws_match_the_naive_oracle(self, law):
+        found = 0
+        for n in range(6):
+            expected = _naive_violations(n, *law)
+            assert list(census._law_walk(n, *law)) == expected, n
+            found += len(expected)
+        assert found
 
     @pytest.mark.parametrize("law", _WRONG_LAWS.values(), ids=_WRONG_LAWS.keys())
     def test_wrong_laws_to_six(self, law):
