@@ -4,11 +4,14 @@ Every census and law check covers all Cayley permutations up to a length
 bound (default 8), mostly by walking a tree of them one machine step per
 edge: the insertion tree, whose nodes are the standardised prefixes, for
 censuses and avoidance laws, and the prefix tree (`stack._outputs`) for
-the laws of s_sigma as a map.  It checks with no sampling that the
-simulated machines agree with their closed-form characterizations:
-avoidance-set descriptions of sortable sets, the mesh characterization
-of the 21-machine, bijectivity and involution laws of the maps s_sigma,
-pop-stack counting formulas, and non-closure witnesses.
+the laws of s_sigma as a map.  A law walk searches the patterns once per
+node, not once per edge: an unblocked node lists the edges whose new
+letter completes an occurrence (`pattern._completions`), on the one
+occurrence search, `pattern._extend`.  The module checks with no
+sampling that the simulated machines agree with their closed-form
+characterizations: avoidance-set descriptions of sortable sets, the mesh
+characterization of the 21-machine, bijectivity and involution laws of
+the maps s_sigma, pop-stack counting formulas, and non-closure witnesses.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .pattern import (
     MESH_Z,
     CayleyMeshPattern,
     _closure_sweep,
-    _creates_mesh,
+    _completions,
     _reverse_mesh,
     contains,
 )
@@ -44,7 +47,6 @@ from .stack import (
     TORTOISE,
     Machine,
     _avoids_231,
-    _creates_occurrence,
     _outputs,
     _run_word,
     _sigma_letters,
@@ -52,7 +54,7 @@ from .stack import (
 )
 
 # Not called here (the census walk counts blocks itself, the law sweeps
-# reverse tuples by slicing and find mesh occurrences edge by edge,
+# reverse tuples by slicing and find mesh occurrences node by node,
 # `stack._accept` is the one sorted-output test, and the witness search
 # steps down by one-point deletions); kept because perfbench/tracer.py
 # wraps these five names in census.
@@ -323,11 +325,15 @@ def _law_walk(
     machine sorts w".  The node also carries whether it is blocked
     (contains a pattern).  Every test only compares letters, and a node is
     a pattern of each node below it, so death and blocking pass down the
-    tree.  An unblocked node asks only whether its new letter completes an
-    occurrence as its last letter: the reversed pattern with that letter
-    fixed first, embedded into the reversed word.  That fails for a mesh
+    tree.  A child of an unblocked node is blocked only by an occurrence
+    that ends at its new letter.  So the node finds, once, the set of its
+    edges whose letter completes one (`pattern._completions`, one search
+    per pattern of the basis and meshes, in its word reversed), and each
+    edge looks its key up there: a repeat of v is v, a new value in gap g
+    is g + 0.5, compared as the raised letter g + 1 would be.  A mesh
     pattern with a cell after its last position, which later letters can
-    fill, so such a pattern raises ValueError, at the first `next`.
+    fill, is not decided this way, so it raises ValueError, at the first
+    `next`.
 
     A node that is dead and blocked is settled: every leaf below it is
     unsortable and blocked, so none is a counterexample, and its subtree is
@@ -338,22 +344,23 @@ def _law_walk(
         if any(i == len(mp.tau) for i, _ in mp.gap_cells | mp.eq_cells):
             raise ValueError(f"mesh pattern {mp} has a cell after its last position")
     sigmas, flush_all = machine.patterns, machine.flush_all
-    reversed_basis = tuple(tuple(p)[::-1] for p in basis)
-    reversed_meshes = tuple(_reverse_mesh(mp) for mp in meshes)
+    searches = [(p[::-1], None) for p in map(tuple, basis)]
+    searches += [(rmp.tau, rmp) for rmp in map(_reverse_mesh, meshes)]
     found: list[Word] = []
 
     def descend(left, k, word, node, blocked):
+        hits = set()
+        if not blocked:
+            for rpat, rmp in searches:
+                hits |= _completions(word, rpat, rmp)
         # a dead node has no state to relabel; its edges carry the root's
         for v, values, stack, state in _edges(k, *(node or _ROOT)):
-            w = _raise(word, v - 1) if values > k else word
-            hit = (
-                blocked
-                or _creates_occurrence(w, v, reversed_basis)
-                or any(_creates_mesh(w, v, rmp) for rmp in reversed_meshes)
-            )
+            new = values > k
+            hit = blocked or (v - 0.5 if new else v) in hits
             child = None if node is None else _step(stack, state, v, sigmas, flush_all)
             if child is None and hit:
                 continue  # settled
+            w = _raise(word, v - 1) if new else word
             if left > 1:
                 descend(left - 1, values, (*w, v), child, hit)
             elif (child is not None) == hit:

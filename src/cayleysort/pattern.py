@@ -28,42 +28,70 @@ from .core import (
 )
 
 
+@functools.lru_cache(maxsize=256)  # bounded: contains takes any pattern
+def _plan(pat: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """What the search tests at each position t of `pat`, built once per
+    pattern: (eq, lo, hi), where eq is the first t' < t with pat[t'] ==
+    pat[t], and otherwise lo and hi are the t' < t holding the largest
+    earlier value below pat[t] and the smallest above it; -1 where there
+    is none (lo and hi are -1 when eq applies).  A letter matched at t
+    agrees with every letter matched before it exactly when it equals
+    the one matched at eq, or lies strictly between those matched at lo
+    and hi.  So 2 1 1 3 gives ((-1, -1, -1), (-1, -1, 0), (1, -1, -1),
+    (-1, 0, -1))."""
+    plan = []
+    for t, p in enumerate(pat):
+        earlier = pat[:t]
+        if p in earlier:
+            plan.append((earlier.index(p), -1, -1))
+        else:
+            below = [u for u, q in enumerate(earlier) if q < p]
+            above = [u for u, q in enumerate(earlier) if q > p]
+            lo = max(below, key=earlier.__getitem__, default=-1)
+            hi = min(above, key=earlier.__getitem__, default=-1)
+            plan.append((-1, lo, hi))
+    return tuple(plan)
+
+
 def _extend(
     text: Sequence[int],
-    pat: Sequence[int],
+    plan: tuple[tuple[int, int, int], ...],
     vals: list[int],
     pos: list[int],
     t: int,
     start: int,
     accept: Callable[[list[int]], bool] | None,
 ) -> bool:
-    """The one order-isomorphic search: extend a partial occurrence of `pat`.
+    """The one order-isomorphic search: extend a partial occurrence of the
+    pattern whose `_plan` is `plan`.
 
-    `vals[:t]` are the text letters already matched to `pat[:t]` and
-    `pos[:t]` their 0-based positions; letters for `pat[t:]` are sought from
-    position `start` on, pruning branches that cannot supply enough
-    remaining letters.  Each complete occurrence is handed to `accept`, in
-    lexicographic order of positions, and the search stops (returning True)
-    at the first one `accept` takes; `accept=None` takes the first.  Needs
-    0 <= t < len(pat).
+    `vals[:t]` are the text letters already matched to the pattern's first
+    t letters and `pos[:t]` their 0-based positions; letters for the rest
+    are sought from position `start` on, pruning branches that cannot
+    supply enough remaining letters.  Each candidate gets one test, by
+    plan[t].  Each complete occurrence is handed to `accept`, in
+    lexicographic order of positions, and the search stops (returning
+    True) at the first one `accept` takes; `accept=None` takes the first.
+    Needs 0 <= t < len(plan).
     """
-    k = len(pat)
-    pt = pat[t]
+    k = len(plan)
+    eq, lo, hi = plan[t]
+    same = eq >= 0
+    if same:
+        a = vals[eq]
+    else:
+        a = vals[lo] if lo >= 0 else -math.inf
+        b = vals[hi] if hi >= 0 else math.inf
     last = t + 1 == k
     for i in range(start, len(text) - (k - 1 - t)):
         v = text[i]
-        for u in range(t):
-            pu = pat[u]
-            vu = vals[u]
-            if (pt > pu) != (v > vu) or (pt == pu) != (v == vu):
-                break
-        else:
+        if v == a if same else a < v < b:
             vals[t] = v
             pos[t] = i
             if last:
                 if accept is None or accept(pos):
                     return True
-            elif _extend(text, pat, vals, pos, t + 1, i + 1, accept):
+            elif _extend(text, plan, vals, pos, t + 1, i + 1, accept):
                 return True
     return False
 
@@ -76,7 +104,7 @@ def contains(text: Sequence[int], pat: Sequence[int]) -> bool:
     k = len(pat)
     if k == 0:
         return True
-    return _extend(text, pat, [0] * k, [0] * k, 0, 0, None)
+    return _extend(text, _plan(tuple(pat)), [0] * k, [0] * k, 0, 0, None)
 
 
 def occurrences(text: Sequence[int], pat: Sequence[int]) -> list[tuple[int, ...]]:
@@ -94,7 +122,7 @@ def occurrences(text: Sequence[int], pat: Sequence[int]) -> list[tuple[int, ...]
         found.append(tuple(j + 1 for j in pos))
         return False
 
-    _extend(text, pat, [0] * k, [0] * k, 0, 0, record)
+    _extend(text, _plan(tuple(pat)), [0] * k, [0] * k, 0, 0, record)
     return found
 
 
@@ -251,7 +279,7 @@ def contains_mesh(text: Sequence[int], mp: CayleyMeshPattern) -> bool:
     k = len(mp.tau)
     if k == 0:
         return True
-    return _extend(text, mp.tau, [0] * k, [0] * k, 0, 0, _cells_clear(text, mp))
+    return _extend(text, _plan(mp.tau), [0] * k, [0] * k, 0, 0, _cells_clear(text, mp))
 
 
 def _reverse_mesh(mp: CayleyMeshPattern) -> CayleyMeshPattern:
@@ -265,19 +293,49 @@ def _reverse_mesh(mp: CayleyMeshPattern) -> CayleyMeshPattern:
     )
 
 
-def _creates_mesh(prefix: Sequence[int], x: int, rmp: CayleyMeshPattern) -> bool:
-    """Does prefix + (x,) hold an occurrence of the mesh pattern
-    `_reverse_mesh(rmp)` whose last letter is x?
+def _completions(
+    prefix: Sequence[int], rpat: Sequence[int], rmp: CayleyMeshPattern | None = None
+) -> set[float]:
+    """The edges below `prefix`, a Cayley permutation on 1..top, whose
+    letter x ends an occurrence in prefix + (x,) of rpat reversed (of the
+    mesh pattern `_reverse_mesh(rmp)` when rmp is given; its tau is rpat).
+    An edge is named by a key that every test compares as its letter: a
+    repeat of a value v is v, a new value in gap g (0 <= g <= top, between
+    g and g + 1) is g + 0.5.
 
-    Read right to left, x comes first: the rest of rmp.tau is embedded into
-    the prefix reversed, with x already matched to its first letter, and
-    each occurrence gets the cell check of rmp on the reversed word.  Needs
-    len(rmp.tau) >= 2.
+    Read right to left, x comes first.  One search enumerates the
+    occurrences of rpat[1:] in the prefix reversed; each admits the x that
+    `_plan(rpat[1:] + rpat[:1])` allows at its end: one value, or all those
+    strictly between two.  For a mesh pattern each such x also gets the
+    cell check of rmp, with x at text position 0, which no cell's region
+    holds.  The search stops once every key is in.  Needs len(rpat) >= 2,
+    so that the search seeks at least one letter.
     """
-    text = [x, *reversed(prefix)]
-    k = len(rmp.tau)
-    vals = [x] + [0] * (k - 1)
-    return _extend(text, rmp.tau, vals, [0] * k, 1, 1, _cells_clear(text, rmp))
+    rest = tuple(rpat[1:])
+    top = max(prefix, default=0)
+    text = [0, *reversed(prefix)]
+    eq, lo, hi = _plan(rest + tuple(rpat[:1]))[-1]
+    clear = _cells_clear(text, rmp) if rmp is not None else lambda pos: True
+    hits: set[float] = set()
+
+    def record(pos: list[int]) -> bool:
+        if eq >= 0:
+            keys = [text[pos[eq]]]
+        else:
+            a = text[pos[lo]] if lo >= 0 else 0
+            b = text[pos[hi]] if hi >= 0 else top + 1
+            keys = [h / 2 for h in range(2 * a + 1, 2 * b)]
+        full = [0, *pos]
+        for x in keys:
+            if x not in hits:
+                text[0] = x
+                if clear(full):
+                    hits.add(x)
+        return len(hits) > 2 * top
+
+    m = len(rest)
+    _extend(text, _plan(rest), [0] * m, [0] * m, 0, 1, record)
+    return hits
 
 
 Member = Callable[[CayleyPerm], bool]

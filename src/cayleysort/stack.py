@@ -27,7 +27,7 @@ from .core import (
     _wrap,
     census_limit,
 )
-from .pattern import _extend
+from .pattern import _extend, _plan
 
 # Not called here (`_accept` is the one sorted-output test); kept because
 # perfbench/tracer.py wraps stack.contains, stack._iter_letters and
@@ -158,10 +158,10 @@ def _creates_occurrence(stack: Sequence[int], x: int, sigmas: tuple[Word, ...]) 
 
     That is: embed the rest of each pattern into `stack` (bottom first)
     read top to bottom, with x already matched to the pattern's first
-    letter.  The answer holds for any stack, so the law walk passes a raw
-    prefix; on a machine's stack, which is occurrence-free between events,
-    it is exactly whether the push is forbidden, since the incoming letter
-    sits on top and can only play a pattern's first letter.
+    letter.  The answer holds for any stack; on a machine's stack, which
+    is occurrence-free between events, it is exactly whether the push is
+    forbidden, since the incoming letter sits on top and can only play a
+    pattern's first letter.
 
     When the pattern starts with two equal letters, its second letter is a
     copy of x.  With no copy in the stack there is no occurrence; otherwise
@@ -196,7 +196,7 @@ def _creates_occurrence(stack: Sequence[int], x: int, sigmas: tuple[Word, ...]) 
             t, start = 2, text.index(x) + 1
         else:
             continue
-        if _extend(text, sig, vals, [0] * k, t, start, None):
+        if _extend(text, _plan(sig), vals, [0] * k, t, start, None):
             return True
     return False
 

@@ -95,6 +95,24 @@ def test_no_module_lists_patterns_by_index_subsets():
     assert calls == []
 
 
+def test_one_occurrence_search_kernel():
+    # every order-isomorphic search runs through `pattern._extend`; outside
+    # pattern only the stack's push test seeds it (with the incoming letter
+    # matched), and no other module searches for occurrences itself
+    callers = set()
+    for path in sorted((ROOT / "src" / "cayleysort").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "_extend":
+                        callers.add((path.stem, getattr(stmt, "name", None)))
+    outside = {c for c in callers if c[0] != "pattern"}
+    assert outside == {("stack", "_creates_occurrence")}
+    assert callers - outside
+
+
 def _private_definitions(stmt):
     """The module-level private names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

@@ -39,7 +39,7 @@ from cayleysort import (
     verify_tortoise_refined,
     witness_non_class,
 )
-from cayleysort import census
+from cayleysort import census, pattern
 from cayleysort.census import (
     _TORTOISE,
     WITNESS_TABLE,
@@ -803,6 +803,33 @@ class TestLawWalk:
             assert list(census._law_walk(n, *law)) == expected, n
             found += len(expected)
         assert found
+
+    def test_one_search_per_pattern_and_node(self, monkeypatch):
+        # the walk searches once per unblocked node and pattern, not once
+        # per edge: count the top-level calls of the kernel (its recursion
+        # goes through the same name, so the wrapper sees nested ones too)
+        real = pattern._extend
+        calls = depth = 0
+
+        def extend(*args):
+            nonlocal calls, depth
+            calls += depth == 0
+            depth += 1
+            try:
+                return real(*args)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(pattern, "_extend", extend)
+        assert list(census._law_walk(6, _M21, (_P2341,), (MESH_Z,))) == []
+        # every node above the leaves that avoids both patterns is reached,
+        # since a blocked node never has an unblocked child
+        unblocked = [
+            w for w in words_up_to(5)
+            if not brute_contains(w, _P2341) and not brute_contains_mesh(w, MESH_Z)
+        ]
+        edges = sum(2 * max(w, default=0) + 1 for w in unblocked)
+        assert 0 < calls <= 2 * len(unblocked) < edges / 4
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_cell_after_the_last_position_is_rejected(self, column):

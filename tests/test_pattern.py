@@ -26,7 +26,7 @@ from cayleysort import (
     subpatterns,
 )
 from cayleysort import pattern
-from cayleysort.pattern import _creates_mesh, _deletions, _reverse_mesh
+from cayleysort.pattern import _completions, _deletions, _plan, _reverse_mesh
 from conftest import random_words, universe, words_up_to
 from reference import (
     brute_contains,
@@ -91,6 +91,39 @@ class TestContains:
     @given(_TEXTS, _PATTERNS)
     def test_random_words_agree_with_brute_force(self, text, pat):
         assert contains(text, pat) == brute_contains(text, pat)
+
+
+#: Words with repeats, letters <= 0 and large gaps between values, and
+#: patterns over such letters too: contains takes any integer sequence.
+_WIDE_LETTERS = st.sampled_from([-(10**30), -7, -1, 0, 0, 3, 3, 9, 2**53 + 1, 10**40])
+_WIDE_TEXTS = st.lists(_WIDE_LETTERS | st.integers(-3, 3), max_size=10)
+_WIDE_PATTERNS = st.lists(_WIDE_LETTERS, min_size=1, max_size=4)
+
+
+class TestKernel:
+    """The one search, `_extend`, tests each candidate letter once, by the
+    per-pattern `_plan`."""
+
+    def test_plan_of_a_pattern_with_a_repeat(self):
+        assert _plan((2, 1, 1, 3)) == ((-1, -1, -1), (-1, -1, 0), (1, -1, -1), (-1, 0, -1))
+
+    def test_plan_takes_the_nearest_earlier_values(self):
+        # the 2 lies between the 1 (index 0) and the 3 (index 2), not the 4
+        assert _plan((1, 4, 3, 2)) == ((-1, -1, -1), (-1, 0, -1), (-1, 0, 1), (-1, 0, 2))
+
+    def test_plan_reads_only_the_order(self):
+        assert _plan((5, -2, 5, 100)) == _plan((2, 1, 2, 3))
+        assert _plan((1, 1, 1)) == ((-1, -1, -1), (0, -1, -1), (0, -1, -1))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_WIDE_TEXTS, _WIDE_PATTERNS)
+    def test_contains_on_wide_letters(self, text, pat):
+        assert contains(text, pat) == brute_contains(text, pat)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_WIDE_TEXTS, _WIDE_PATTERNS)
+    def test_occurrences_on_wide_letters_keep_their_order(self, text, pat):
+        assert occurrences(text, pat) == brute_occurrences(text, pat)
 
 
 class TestOccurrences:
@@ -221,22 +254,35 @@ class TestMeshPattern:
     def test_reverse_mesh_matches_the_reversed_word(self, text, mp):
         assert contains_mesh(text[::-1], _reverse_mesh(mp)) == brute_contains_mesh(text, mp)
 
+
     @settings(max_examples=300, deadline=None)
-    @given(random_words(1, 12, 7), _MESHES)
-    def test_creates_mesh_finds_the_occurrences_ending_last(self, text, mp):
+    @given(random_words(0, 10, 6), st.one_of(random_words(2, 4, 4).map(normalize), _MESHES))
+    def test_completions_are_the_occurrences_ending_last(self, text, pat):
         # with no cell after the last position, an occurrence in the prefix
-        # stays one, so the word contains mp exactly when the prefix does
-        # or an occurrence ends at the last letter
-        k = len(mp.tau)
-        mp = CayleyMeshPattern(
-            mp.tau,
-            frozenset(c for c in mp.gap_cells if c[0] < k),
-            frozenset(c for c in mp.eq_cells if c[0] < k),
-        )
-        prefix, x = text[:-1], text[-1]
-        assert brute_contains_mesh(text, mp) == (
-            brute_contains_mesh(prefix, mp) or _creates_mesh(prefix, x, _reverse_mesh(mp))
-        )
+        # stays one, so each child word contains the pattern exactly when
+        # the prefix does or its edge key is a completion
+        prefix = tuple(normalize(text))
+        if isinstance(pat, CayleyMeshPattern):
+            k = len(pat.tau)
+            mp = CayleyMeshPattern(
+                pat.tau,
+                frozenset(c for c in pat.gap_cells if c[0] < k),
+                frozenset(c for c in pat.eq_cells if c[0] < k),
+            )
+            rmp = _reverse_mesh(mp)
+            hits = _completions(prefix, rmp.tau, rmp)
+            holds = lambda w: brute_contains_mesh(w, mp)
+        else:
+            hits = _completions(prefix, pat[::-1])
+            holds = lambda w: brute_contains(w, pat)
+        top = max(prefix, default=0)
+        children = {v: prefix + (v,) for v in range(1, top + 1)}
+        for g in range(top + 1):
+            children[g + 0.5] = tuple(y + (y > g) for y in prefix) + (g + 1,)
+        before = holds(prefix)
+        for key, word in children.items():
+            assert holds(word) == (before or key in hits), (key, word)
+        assert hits <= children.keys()
 
     def test_z_and_w_agree_on_repetition_free_words(self):
         # equality cells can never fire without repeated letters

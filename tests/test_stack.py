@@ -269,8 +269,8 @@ _EQUAL_FIRST = [(tuple(sigma),) for sigma in sigma_panel() if sigma[0] == sigma[
 
 
 class TestCreatesOccurrence:
-    """The push test on arbitrary stacks, not only occurrence-free ones,
-    since the law walk passes a raw prefix."""
+    """The push test on arbitrary stacks, not only occurrence-free ones:
+    its answer does not assume the stack avoids the patterns."""
 
     def test_matches_brute_force_to_five(self):
         cases = 0
@@ -292,9 +292,9 @@ class TestCreatesOccurrence:
             pushed.append(x)
             return _creates_occurrence(stack, x, sigmas)
 
-        def extend(text, pat, vals, pos, t, start, accept):
-            searches.append((pat, t, vals[:2], pushed[-1]))
-            return _extend(text, pat, vals, pos, t, start, accept)
+        def extend(text, plan, vals, pos, t, start, accept):
+            searches.append((plan, t, vals[:2], pushed[-1]))
+            return _extend(text, plan, vals, pos, t, start, accept)
 
         monkeypatch.setattr("cayleysort.stack._creates_occurrence", push_test)
         monkeypatch.setattr("cayleysort.stack._extend", extend)
@@ -303,9 +303,9 @@ class TestCreatesOccurrence:
                 for _ in _outputs(n, sigmas, False):
                     pass
         assert searches and len(searches) < len(pushed)
-        for pat, t, first_two, x in searches:
-            assert pat[0] == pat[1]
-            assert (t, first_two) == (2, [x, x]), pat
+        for plan, t, first_two, x in searches:
+            assert plan[1][0] == 0  # the second letter equals the first
+            assert (t, first_two) == (2, [x, x]), plan
 
 
 class TestSSigma:
